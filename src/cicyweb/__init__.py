@@ -53,8 +53,6 @@ from .transitions import (
     TransitionReport,
     analyze,
     contract,
-    degeneracy_expected_codim,
-    euler_difference,
     find_contraction_sites,
     odp_count,
     split,
@@ -119,11 +117,9 @@ __all__ = [
     "connect_pair",
     "connect_to_c1111",
     "contract",
-    "degeneracy_expected_codim",
     "double_cover_euler",
     "entry_names",
     "equivalent",
-    "euler_difference",
     "euler_number",
     "find_contraction_sites",
     "get_entry",

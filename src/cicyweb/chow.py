@@ -2,22 +2,64 @@
 
 The Chow ring of V = P^{n_1} x ... x P^{n_k} is the truncated polynomial
 ring Z[s_1, ..., s_k] / (s_i^{n_i + 1}), where s_i is the hyperplane class
-pulled back from the i-th factor.  Classes are stored sparsely as maps from
-exponent vectors to arbitrary-precision integers, so every computation is
-exact; there is no floating point anywhere in this module.
+pulled back from the i-th factor.  A class is stored densely: one Python
+integer per monomial of the lattice 0 <= e_i <= n_i, at the mixed-radix
+index sum_i e_i * stride_i (last factor fastest), so every ring operation
+is a pass over at most prod(n_i + 1) cells and every computation is exact;
+there is no floating point anywhere in this module.
 
 Integration over the fundamental class extracts the coefficient of the
-point class s_1^{n_1} * ... * s_k^{n_k}.
+point class s_1^{n_1} * ... * s_k^{n_k}, the last cell of the lattice.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb, factorial
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 #: A multidegree is a plain tuple of integers, one entry per ambient factor.
 #: Entries may be negative (duals inside Koszul-type alternating sums).
 MultiDegree = tuple[int, ...]
+
+
+class _Lattice:
+    """Mixed-radix layout of the monomials of one ambient's Chow ring.
+
+    Monomial e sits at index sum_i e_i * strides[i], last factor fastest
+    (the order of :meth:`AmbientSpace.exponents`).  ``packed[i]`` holds the
+    exponent vector of cell i in bit fields one bit wider than n_i needs,
+    and ``bias`` puts 2^w_i - 1 - n_i in each field (2^w_i > n_i): the
+    product of cells i and j survives truncation exactly when
+    ``(packed[i] + bias + packed[j]) & overflow`` is zero, and then it sits
+    at index i + j, because no exponent of the product exceeds its bound
+    and the mixed-radix sum has no carry.
+    """
+
+    __slots__ = ("strides", "degrees", "packed", "bias", "overflow")
+
+    def __init__(self, factors: tuple[int, ...]):
+        strides = []
+        degrees, packed = [0], [0]
+        bias = overflow = shift = 0
+        for n in factors:
+            strides = [s * (n + 1) for s in strides] + [1]
+            degrees = [d + e for d in degrees for e in range(n + 1)]
+            packed = [p + (e << shift) for p in packed for e in range(n + 1)]
+            width = n.bit_length()
+            bias += ((1 << width) - 1 - n) << shift
+            overflow |= 1 << (shift + width)
+            shift += width + 1
+        self.strides = tuple(strides)
+        self.degrees = degrees
+        self.packed = packed
+        self.bias = bias
+        self.overflow = overflow
+
+    def index(self, exp: tuple[int, ...]) -> int:
+        """Mixed-radix index of an in-range exponent vector."""
+        return sum(e * s for e, s in zip(exp, self.strides))
 
 
 class AmbientSpace:
@@ -37,7 +79,7 @@ class AmbientSpace:
     (3, 1)
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_lattice")
 
     def __init__(self, factors: Iterable[int]):
         factors = tuple(int(n) for n in factors)
@@ -49,6 +91,15 @@ class AmbientSpace:
 
     def __setattr__(self, name, value):
         raise AttributeError("AmbientSpace is immutable")
+
+    def _layout(self) -> _Lattice:
+        """The monomial lattice layout, built on first use and kept here."""
+        try:
+            return self._lattice
+        except AttributeError:
+            lattice = _Lattice(self.factors)
+            object.__setattr__(self, "_lattice", lattice)
+            return lattice
 
     @property
     def k(self) -> int:
@@ -65,25 +116,9 @@ class AmbientSpace:
         """Exponent vector of the point class, (n_1, ..., n_k)."""
         return self.factors
 
-    def lattice_size(self) -> int:
-        """Number of monomials in the truncated ring, prod(n_i + 1)."""
-        size = 1
-        for n in self.factors:
-            size *= n + 1
-        return size
-
     def exponents(self) -> Iterator[tuple[int, ...]]:
-        """Iterate over all exponent vectors of the monomial lattice."""
-        exps = [0] * self.k
-        while True:
-            yield tuple(exps)
-            for i in range(self.k - 1, -1, -1):
-                if exps[i] < self.factors[i]:
-                    exps[i] += 1
-                    break
-                exps[i] = 0
-            else:
-                return
+        """Iterate over all exponent vectors of the monomial lattice, in index order."""
+        return product(*(range(n + 1) for n in self.factors))
 
     def check_degree(self, d: Iterable[int]) -> MultiDegree:
         """Validate a multidegree against this ambient and return it as a tuple."""
@@ -108,17 +143,19 @@ class AmbientSpace:
 class ChowClass:
     """An element of the Chow ring of an :class:`AmbientSpace`.
 
-    Terms are stored as a map from exponent vectors (e_1, ..., e_k) with
-    0 <= e_i <= n_i to nonzero integers.  All ring operations truncate:
-    any monomial with some e_i > n_i is discarded (s_i^{n_i+1} = 0).
+    Built from a map of exponent vectors (e_1, ..., e_k) to integers; any
+    monomial with some e_i > n_i is discarded (s_i^{n_i+1} = 0), and all
+    ring operations truncate the same way.  ``terms`` is a read-only map of
+    the nonzero coefficients.
 
     Instances are immutable; arithmetic returns new objects.
     """
 
-    __slots__ = ("ambient", "terms")
+    __slots__ = ("ambient", "_coeffs")
 
     def __init__(self, ambient: AmbientSpace, terms: Mapping[tuple[int, ...], int]):
-        clean: dict[tuple[int, ...], int] = {}
+        lattice = ambient._layout()
+        coeffs = [0] * len(lattice.packed)
         for exp, coeff in terms.items():
             coeff = int(coeff)
             if coeff == 0:
@@ -128,9 +165,17 @@ class ChowClass:
                 raise ValueError(f"bad exponent vector {exp} for ambient {ambient}")
             if any(e > n for e, n in zip(exp, ambient.factors)):
                 continue  # truncated away by s_i^{n_i+1} = 0
-            clean[exp] = coeff
+            coeffs[lattice.index(exp)] = coeff
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_coeffs", coeffs)
+
+    @classmethod
+    def _dense(cls, ambient: AmbientSpace, coeffs: list[int]) -> "ChowClass":
+        """Take ownership of a full coefficient list in lattice order, unvalidated."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "_coeffs", coeffs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ChowClass is immutable")
@@ -140,11 +185,13 @@ class ChowClass:
 
     @staticmethod
     def zero(ambient: AmbientSpace) -> "ChowClass":
-        return ChowClass(ambient, {})
+        return ChowClass.constant(ambient, 0)
 
     @staticmethod
     def constant(ambient: AmbientSpace, value: int) -> "ChowClass":
-        return ChowClass(ambient, {(0,) * ambient.k: value})
+        coeffs = [0] * len(ambient._layout().packed)
+        coeffs[0] = int(value)
+        return ChowClass._dense(ambient, coeffs)
 
     @staticmethod
     def one(ambient: AmbientSpace) -> "ChowClass":
@@ -155,21 +202,19 @@ class ChowClass:
         """The hyperplane class s_i of the i-th factor (0-based)."""
         if not 0 <= i < ambient.k:
             raise ValueError(f"factor index {i} out of range for {ambient}")
-        exp = [0] * ambient.k
-        exp[i] = 1
-        return ChowClass(ambient, {tuple(exp): 1})
+        d = [0] * ambient.k
+        d[i] = 1
+        return ChowClass.linear_form(ambient, d)
 
     @staticmethod
     def linear_form(ambient: AmbientSpace, d: Iterable[int]) -> "ChowClass":
         """The degree-1 class sum_i d_i s_i, i.e. c_1 of the line bundle O(d)."""
         d = ambient.check_degree(d)
-        terms = {}
-        for i, di in enumerate(d):
-            if di:
-                exp = [0] * ambient.k
-                exp[i] = 1
-                terms[tuple(exp)] = di
-        return ChowClass(ambient, terms)
+        lattice = ambient._layout()
+        coeffs = [0] * len(lattice.packed)
+        for di, stride in zip(d, lattice.strides):
+            coeffs[stride] = di
+        return ChowClass._dense(ambient, coeffs)
 
     # ------------------------------------------------------------------
     # ring structure
@@ -189,19 +234,14 @@ class ChowClass:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            new = out.get(exp, 0) + coeff
-            if new:
-                out[exp] = new
-            else:
-                out.pop(exp, None)
-        return ChowClass(self.ambient, out)
+        return ChowClass._dense(
+            self.ambient, [a + b for a, b in zip(self._coeffs, other._coeffs)]
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass(self.ambient, {e: -c for e, c in self.terms.items()})
+        return ChowClass._dense(self.ambient, [-a for a in self._coeffs])
 
     def __sub__(self, other) -> "ChowClass":
         other = self._coerce(other)
@@ -216,21 +256,43 @@ class ChowClass:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        bounds = self.ambient.factors
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                if any(e > n for e, n in zip(exp, bounds)):
-                    continue
-                new = out.get(exp, 0) + c1 * c2
-                if new:
-                    out[exp] = new
-                else:
-                    del out[exp]
-        return ChowClass(self.ambient, out)
+        lattice = self.ambient._layout()
+        packed, bias, overflow = lattice.packed, lattice.bias, lattice.overflow
+        right = [(j, packed[j], c) for j, c in enumerate(other._coeffs) if c]
+        out = [0] * len(packed)
+        for i, a in enumerate(self._coeffs):
+            if a:
+                room = packed[i] + bias
+                for j, pj, c in right:
+                    if not (room + pj) & overflow:
+                        out[i + j] += a * c
+        return ChowClass._dense(self.ambient, out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "ChowClass":
+        """Quotient by a unit u, a class with constant term 1.
+
+        Solves q = a - (u - 1) * q in one forward pass: every monomial that
+        feeds cell i + j sits at a smaller mixed-radix index i, so q there
+        is final before it is used.  Any other divisor raises ValueError.
+        """
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.constant_term() != 1:
+            raise ValueError("division needs a divisor with constant term 1")
+        lattice = self.ambient._layout()
+        packed, bias, overflow = lattice.packed, lattice.bias, lattice.overflow
+        nilpotent = [(j, packed[j], c) for j, c in enumerate(other._coeffs) if c and j]
+        q = list(self._coeffs)
+        for i, qi in enumerate(q):
+            if qi:
+                room = packed[i] + bias
+                for j, pj, c in nilpotent:
+                    if not (room + pj) & overflow:
+                        q[i + j] -= c * qi
+        return ChowClass._dense(self.ambient, q)
 
     def __pow__(self, power: int) -> "ChowClass":
         if not isinstance(power, int) or power < 0:
@@ -246,39 +308,43 @@ class ChowClass:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self.terms == ChowClass.constant(self.ambient, other).terms
-        if not isinstance(other, ChowClass):
+            other = ChowClass.constant(self.ambient, other)
+        elif not isinstance(other, ChowClass):
             return NotImplemented
-        return self.ambient == other.ambient and self.terms == other.terms
+        return self.ambient == other.ambient and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash((self.ambient, frozenset(self.terms.items())))
+        return hash((self.ambient, tuple(self._coeffs)))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return any(self._coeffs)
 
     # ------------------------------------------------------------------
     # graded structure
 
-    def graded_part(self, p: int) -> "ChowClass":
-        """The homogeneous piece of total degree p."""
-        return ChowClass(
-            self.ambient, {e: c for e, c in self.terms.items() if sum(e) == p}
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        """Read-only map from exponent vectors to the nonzero coefficients."""
+        return MappingProxyType(
+            {e: c for e, c in zip(self.ambient.exponents(), self._coeffs) if c}
         )
 
-    def max_degree(self) -> int:
-        """Largest total degree carrying a nonzero term (−1 for the zero class)."""
-        return max((sum(e) for e in self.terms), default=-1)
+    def graded_part(self, p: int) -> "ChowClass":
+        """The homogeneous piece of total degree p."""
+        degrees = self.ambient._layout().degrees
+        return ChowClass._dense(
+            self.ambient, [c if d == p else 0 for c, d in zip(self._coeffs, degrees)]
+        )
 
     def constant_term(self) -> int:
-        return self.terms.get((0,) * self.ambient.k, 0)
+        return self._coeffs[0]
 
     def coefficient(self, exp: Iterable[int]) -> int:
         return self.terms.get(tuple(exp), 0)
 
     def integrate(self) -> int:
         """Integral over the fundamental class: coefficient of the point class."""
-        return self.terms.get(self.ambient.point_exponent, 0)
+        return self._coeffs[-1]
 
     # ------------------------------------------------------------------
     # rendering
@@ -288,11 +354,12 @@ class ChowClass:
 
     def render(self) -> str:
         """Debug rendering with terms in graded-lex order, e.g. ``5*s1^2 + 4*s1*s2``."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         pieces = []
-        for exp in sorted(self.terms, key=lambda e: (sum(e), tuple(-x for x in e))):
-            coeff = self.terms[exp]
+        for exp in sorted(terms, key=lambda e: (sum(e), tuple(-x for x in e))):
+            coeff = terms[exp]
             factors = []
             for i, e in enumerate(exp):
                 if e == 1:
@@ -320,16 +387,6 @@ class ChowClass:
 # module-level operations
 
 
-def add(a: ChowClass, b: ChowClass) -> ChowClass:
-    """Sum of two classes on the same ambient."""
-    return a + b
-
-
-def mul(a: ChowClass, b: ChowClass) -> ChowClass:
-    """Intersection product of two classes on the same ambient."""
-    return a * b
-
-
 def integrate(a: ChowClass) -> int:
     """Integral over the fundamental class (coefficient of the point class)."""
     return a.integrate()
@@ -354,7 +411,8 @@ def segre_inverse(c: ChowClass) -> ChowClass:
     Computed degree by degree through the Newton-style recursion
     s_p = -sum_{i=1}^{p} c_i * s_{p-i}, which stays inside the truncated
     ring and never needs rational arithmetic.  For c the total Chern class
-    of a bundle this is its total Segre class.
+    of a bundle this is its total Segre class.  It deliberately does not
+    use division, so that it can serve as an independent reference for it.
     """
     if c.constant_term() != 1:
         raise ValueError("segre_inverse needs a class with constant term 1")
@@ -380,13 +438,13 @@ def tangent_chern(ambient: AmbientSpace) -> ChowClass:
     Each factor expands by the Euler sequence on P^{n_i} and is truncated
     at s_i^{n_i}.
     """
-    terms: dict[tuple[int, ...], int] = {}
+    coeffs = []
     for exp in ambient.exponents():
         coeff = 1
         for e, n in zip(exp, ambient.factors):
             coeff *= comb(n + 1, e)
-        terms[exp] = coeff
-    return ChowClass(ambient, terms)
+        coeffs.append(coeff)
+    return ChowClass._dense(ambient, coeffs)
 
 
 def binomial_poly(a: int, n: int) -> int:
@@ -411,100 +469,3 @@ def chi_line_bundle(ambient: AmbientSpace, d: Iterable[int]) -> int:
     for di, n in zip(d, ambient.factors):
         chi *= binomial_poly(di + n, n)
     return chi
-
-
-# ----------------------------------------------------------------------
-# dense fast path
-#
-# Euler-number style integrals are products of linear factors, inverse
-# linear factors and binomial row factors.  Evaluating them on a dense
-# coefficient table over the exponent lattice (mixed-radix indexed) takes
-# one O(lattice) pass per factor instead of a quadratic sparse product.
-# This is an internal optimization only: coefficients stay exact Python
-# integers and the public API above is unaffected.
-
-
-class _DenseTable:
-    """Dense coefficient table over the exponent lattice of an ambient."""
-
-    __slots__ = ("ambient", "strides", "coeffs")
-
-    def __init__(self, ambient: AmbientSpace):
-        self.ambient = ambient
-        strides = [0] * ambient.k
-        size = 1
-        for i in range(ambient.k - 1, -1, -1):
-            strides[i] = size
-            size *= ambient.factors[i] + 1
-        self.strides = strides
-        self.coeffs = [0] * size
-        self.coeffs[0] = 1  # start at the unit class
-
-    def _axis_runs(self, i: int) -> Iterator[tuple[int, int]]:
-        """Yield (base, count) runs along axis i: indices base + t*strides[i]."""
-        n = self.ambient.factors[i]
-        stride = self.strides[i]
-        block = stride * (n + 1)
-        size = len(self.coeffs)
-        for start in range(0, size, block):
-            for offset in range(stride):
-                yield start + offset, n + 1
-
-    def mul_one_plus_var(self, i: int) -> None:
-        """Multiply in place by (1 + s_i), truncated."""
-        stride = self.strides[i]
-        coeffs = self.coeffs
-        for base, count in self._axis_runs(i):
-            for t in range(count - 1, 0, -1):
-                idx = base + t * stride
-                coeffs[idx] += coeffs[idx - stride]
-
-    def mul_linear(self, d: MultiDegree) -> None:
-        """Multiply in place by the linear form sum_i d_i s_i, truncated."""
-        coeffs = self.coeffs
-        out = [0] * len(coeffs)
-        for i, di in enumerate(d):
-            if not di:
-                continue
-            stride = self.strides[i]
-            for base, count in self._axis_runs(i):
-                for t in range(1, count):
-                    idx = base + t * stride
-                    prev = coeffs[idx - stride]
-                    if prev:
-                        out[idx] += di * prev
-        self.coeffs = out
-
-    def div_one_plus_linear(self, d: MultiDegree) -> None:
-        """Divide in place by 1 + sum_i d_i s_i (a unit: 1 + nilpotent).
-
-        Solves q = a - l*q by a single forward pass: the mixed-radix index
-        of every proper divisor monomial is strictly smaller, so q at each
-        cell only needs already-computed cells.
-        """
-        coeffs = self.coeffs
-        moves = [(i, self.strides[i], di) for i, di in enumerate(d) if di]
-        factors = self.ambient.factors
-        k = self.ambient.k
-        exps = [0] * k
-        for idx in range(len(coeffs)):
-            acc = coeffs[idx]
-            for i, stride, di in moves:
-                if exps[i]:
-                    acc -= di * coeffs[idx - stride]
-            coeffs[idx] = acc
-            for i in range(k - 1, -1, -1):
-                if exps[i] < factors[i]:
-                    exps[i] += 1
-                    break
-                exps[i] = 0
-
-    def point_coefficient(self) -> int:
-        return self.coeffs[-1]
-
-    def to_chow(self) -> ChowClass:
-        terms = {}
-        for idx, exp in enumerate(self.ambient.exponents()):
-            if self.coeffs[idx]:
-                terms[exp] = self.coeffs[idx]
-        return ChowClass(self.ambient, terms)

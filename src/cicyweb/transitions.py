@@ -27,7 +27,12 @@ from .invariants import euler_number
 
 
 class InternalConsistencyError(ArithmeticError):
-    """The closed ODP formula and direct Gauss-Bonnet disagreed (a bug, not bad input)."""
+    """An exact identity the code relies on failed (a bug, not bad input).
+
+    Raised when the closed ODP formula and direct Gauss-Bonnet disagree, and
+    when a web-walk invariant (a termination measure, the hub end state, a
+    generated matrix) does not hold.
+    """
 
 
 @dataclass(frozen=True)
@@ -82,14 +87,14 @@ class TransitionReport:
 
     ``euler_resolved`` is e of the small resolution (the split-side member),
     ``euler_smoothed`` is e of a general member of the contracted
-    configuration; certification means the closed Chern-class count and the
-    Gauss-Bonnet difference agreed exactly.
+    configuration.  Every report is certified: :func:`analyze` raises
+    instead of building one unless the closed Chern-class count and the
+    Gauss-Bonnet difference agree exactly.
     """
 
     odp_count: int
     euler_resolved: int
     euler_smoothed: int
-    conifold_certified: bool
     ineffective: bool
 
 
@@ -199,28 +204,11 @@ def odp_count(site: ContractionSite) -> int:
     return value
 
 
-def euler_difference(site: ContractionSite) -> int:
-    """e(X-hat) - e(X-tilde), certified two independent ways.
-
-    The closed formula 2 * odp_count must agree with the direct
-    Gauss-Bonnet difference of the split-side and contracted-side Euler
-    numbers; disagreement raises :class:`InternalConsistencyError`.
-    """
-    closed = 2 * odp_count(site)
-    direct = euler_number(site.config) - euler_number(contract(site))
-    if closed != direct:
-        raise InternalConsistencyError(
-            f"ODP formula gives e-difference {closed} but Gauss-Bonnet gives {direct} "
-            f"for row {site.row + 1} of:\n{site.config.render()}"
-        )
-    return closed
-
-
 def analyze(site: ContractionSite) -> TransitionReport:
     """Full transition report for one contraction site.
 
-    ``conifold_certified`` is true exactly when :func:`euler_difference`
-    succeeded, which is checked on every call.
+    Certifies e(X-hat) - e(X-tilde) = 2 * odp_count on every call and raises
+    :class:`InternalConsistencyError` if the two computations disagree.
     """
     count = odp_count(site)
     resolved = euler_number(site.config)
@@ -234,13 +222,5 @@ def analyze(site: ContractionSite) -> TransitionReport:
         odp_count=count,
         euler_resolved=resolved,
         euler_smoothed=smoothed,
-        conifold_certified=True,
         ineffective=(count == 0),
     )
-
-
-def degeneracy_expected_codim(m: int, n: int, k: int) -> int:
-    """Expected codimension (m-k)(n-k) of the rank <= k locus of an m x n map."""
-    if k > min(m, n) or k < 0:
-        raise ValueError(f"rank bound k={k} out of range for a {m} x {n} map")
-    return (m - k) * (n - k)

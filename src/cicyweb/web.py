@@ -47,6 +47,7 @@ from .configuration import (
 )
 from .transitions import (
     ContractionSite,
+    InternalConsistencyError,
     TransitionReport,
     analyze,
     contract,
@@ -217,7 +218,7 @@ def connect_to_c1111(cfg: ConfigurationMatrix) -> TransitionChain:
             residual = tuple(c - u for c, u in zip(col, unit))
             nxt = split(current, j, 1, [residual, unit])
             if not big_row_excess(nxt) < excess:
-                raise AssertionError("Phase A measure failed to decrease")
+                raise InternalConsistencyError("Phase A measure failed to decrease")
             steps.append(
                 ChainStep(
                     kind="split",
@@ -239,7 +240,7 @@ def connect_to_c1111(cfg: ConfigurationMatrix) -> TransitionChain:
             site = ContractionSite(config=current, row=big, one_columns=ones)
             nxt = contract(site)
             if not big_row_mass(nxt) < mass:
-                raise AssertionError("Phase B measure failed to decrease")
+                raise InternalConsistencyError("Phase B measure failed to decrease")
             steps.append(
                 ChainStep(
                     kind="contract",
@@ -268,10 +269,10 @@ def connect_to_c1111(cfg: ConfigurationMatrix) -> TransitionChain:
         site = ContractionSite(config=current, row=i, one_columns=ones)
         nxt = contract(site)
         if not nxt.k < rows_before:
-            raise AssertionError("Phase C measure failed to decrease")
+            raise InternalConsistencyError("Phase C measure failed to decrease")
         problems = _web_state_problems(nxt, "Phase C intermediate")
         if problems:
-            raise AssertionError("; ".join(problems))
+            raise InternalConsistencyError("; ".join(problems))
         steps.append(
             ChainStep(
                 kind="contract",
@@ -286,7 +287,7 @@ def connect_to_c1111(cfg: ConfigurationMatrix) -> TransitionChain:
         current = nxt
 
     if canonical_key(current) != C1111_KEY:
-        raise AssertionError(
+        raise InternalConsistencyError(
             f"web algorithm ended away from the hub:\n{current.render()}"
         )
     return TransitionChain(start=cfg, steps=tuple(steps), end=current)
@@ -316,7 +317,7 @@ def verify_chain(chain: TransitionChain) -> ChainReport:
             failures.append(f"step {index}: recorded before-key does not match")
         try:
             produced = step.apply(current)
-        except (ValueError, AssertionError) as err:
+        except ValueError as err:
             failures.append(f"step {index}: illegal {step.kind}: {err}")
             break
         produced_key = canonical_key(produced)
@@ -441,7 +442,7 @@ def connect_pair(a: ConfigurationMatrix, b: ConfigurationMatrix) -> TransitionCh
     forward = connect_to_c1111(a)
     backward = reverse_chain(connect_to_c1111(b))
     if canonical_key(forward.end) != canonical_key(backward.start):
-        raise AssertionError("both chains must end at the hub")  # pragma: no cover
+        raise InternalConsistencyError("both chains must end at the hub")  # pragma: no cover
     # re-anchor the backward start on the forward end (both are the hub,
     # and the hub's layout is unique: identical [1 || 2] rows)
     return TransitionChain(
@@ -502,7 +503,6 @@ def chain_from_json(text: str) -> TransitionChain:
                 odp_count=int(entry["odp_count"]),
                 euler_resolved=int(entry["euler_before"]),
                 euler_smoothed=int(entry["euler_after"]),
-                conifold_certified=True,
                 ineffective=bool(entry["ineffective"]),
             )
         if entry["kind"] == "split":
@@ -597,5 +597,5 @@ def random_cicy(
         [[cfg.rows[i][j] for j in col_order] for i in row_order],
     )
     if not is_cicy(shuffled) or is_block_diagonal(shuffled):
-        raise AssertionError("generator produced an invalid matrix")  # pragma: no cover
+        raise InternalConsistencyError("generator produced an invalid matrix")  # pragma: no cover
     return normalize(shuffled)

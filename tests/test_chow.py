@@ -80,6 +80,13 @@ def test_truncation_idempotence_every_factor():
             assert top * ChowClass.hyperplane(ambient, i) == ChowClass.zero(ambient)
 
 
+def test_div_rejects_non_unit_divisor():
+    c = ChowClass(P3xP1, {(1, 0): 2, (0, 1): -3, (0, 0): 1})
+    for divisor in (ChowClass.hyperplane(P3xP1, 0), 2 + ChowClass.hyperplane(P3xP1, 1), 0):
+        with pytest.raises(ValueError):
+            c / divisor
+
+
 def test_pow_matches_repeated_mul():
     c = ChowClass(P3xP1, {(1, 0): 2, (0, 1): -3, (0, 0): 1})
     assert c ** 3 == c * c * c
@@ -279,6 +286,26 @@ def test_segre_identity_hypothesis(terms):
     terms[(0, 0)] = 1
     c = ChowClass(P3xP1, terms)
     assert c * segre_inverse(c) == ChowClass.one(P3xP1)
+
+
+_units = st.builds(
+    lambda terms: ChowClass(P3xP1, {**terms, (0, 0): 1}),
+    st.dictionaries(_exponents.filter(any), st.integers(-50, 50), max_size=4),
+)
+
+
+@settings(max_examples=60)
+@given(_classes, _units)
+def test_div_inverts_mul_by_units(a, u):
+    assert (a / u) * u == a
+    assert a / u == a * segre_inverse(u)
+
+
+@given(_classes)
+def test_terms_round_trip_and_read_only(c):
+    assert ChowClass(P3xP1, c.terms) == c
+    with pytest.raises(TypeError):
+        c.terms[(0, 0)] = 1
 
 
 def test_big_integer_coefficients_survive():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from cicyweb import web
 from cicyweb.cli import main
 from cicyweb.web import chain_from_json, verify_chain
 
@@ -104,6 +105,14 @@ def test_invariants_polarization_flag(quintic_file, capsys):
     assert payload["results"]["hilbert"]["values"]["1"] == 15
 
 
+def test_invariants_polarization_takes_one_entry_per_row(tmp_path, capsys):
+    path = tmp_path / "two_rows.txt"
+    path.write_text("2 | 1 2\n3 | 4 0\n")
+    assert main(["invariants", str(path), "--polarization", "2", "1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"]["hilbert"]["polarization"] == [2, 1]
+
+
 def test_invariants_degrade_gracefully_on_surfaces(tmp_path, capsys):
     path = tmp_path / "octic.txt"
     path.write_text("3 | 8\n")
@@ -199,6 +208,15 @@ def test_connect_emit_chain(quintic_file, tmp_path, capsys):
     chain = chain_from_json(out_path.read_text())
     assert len(chain.steps) == 5
     assert verify_chain(chain).ok
+
+
+def test_connect_broken_web_invariant_exits_three(quintic_file, capsys, monkeypatch):
+    # a contraction that changes nothing stalls the Phase B measure
+    monkeypatch.setattr(web, "contract", lambda site: site.config)
+    assert main(["connect", quintic_file]) == 3
+    err = capsys.readouterr().err
+    assert "internal consistency failure: Phase B measure failed to decrease" in err
+    assert "Traceback" not in err
 
 
 def test_connect_rejects_non_cicy(tmp_path, capsys):

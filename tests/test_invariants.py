@@ -29,6 +29,7 @@ from cicyweb.invariants import (
     hilbert_polynomial,
     hodge_numbers,
 )
+from cicyweb.web import random_cicy
 
 
 def _shuffled(cfg: ConfigurationMatrix, rng: random.Random) -> ConfigurationMatrix:
@@ -82,6 +83,7 @@ def test_euler_matches_definition():
         BETTI_SURFACE,
         SCHOEN_RESOLVED,
         BETTI_EXAMPLE,
+        *(random_cicy(seed, 6, 8) for seed in range(20)),
     ):
         assert euler_number(cfg) == euler_number_by_definition(cfg)
 

@@ -19,8 +19,6 @@ from cicyweb.transitions import (
     InternalConsistencyError,
     analyze,
     contract,
-    degeneracy_expected_codim,
-    euler_difference,
     find_contraction_sites,
     odp_count,
     split,
@@ -232,12 +230,14 @@ def test_odp_count_pinned():
 
 
 def test_euler_difference_pinned():
-    (site,) = find_contraction_sites(QUINTIC_SPLIT)
-    assert euler_difference(site) == 32
-    (site,) = find_contraction_sites(MIXED_CONTRACTION_EXAMPLE)
-    assert euler_difference(site) == 56
-    (site,) = find_contraction_sites(SCHOEN_RESOLVED)
-    assert euler_difference(site) == 162
+    for cfg, difference in (
+        (QUINTIC_SPLIT, 32),
+        (MIXED_CONTRACTION_EXAMPLE, 56),
+        (SCHOEN_RESOLVED, 162),
+    ):
+        (site,) = find_contraction_sites(cfg)
+        report = analyze(site)
+        assert report.euler_resolved - report.euler_smoothed == difference
 
 
 def test_analyze_quintic_split():
@@ -246,7 +246,6 @@ def test_analyze_quintic_split():
     assert report.odp_count == 16
     assert report.euler_resolved == -168
     assert report.euler_smoothed == -200
-    assert report.conifold_certified
     assert not report.ineffective
     assert report.euler_resolved - report.euler_smoothed == 2 * report.odp_count
 
@@ -265,7 +264,6 @@ def test_analyze_ineffective_split():
     report = analyze(site)
     assert report.odp_count == 0
     assert report.ineffective
-    assert report.conifold_certified
     assert report.euler_resolved == report.euler_smoothed == -200
 
 
@@ -275,7 +273,6 @@ def test_certification_runs_on_every_analyze_call():
         cfg = random_cicy(2000 + trial, max_rows=6, max_cols=7)
         for site in find_contraction_sites(cfg):
             report = analyze(site)  # raises InternalConsistencyError on any mismatch
-            assert report.conifold_certified
             assert report.euler_resolved - report.euler_smoothed == 2 * report.odp_count
             assert report.ineffective == (report.odp_count == 0)
 
@@ -292,30 +289,3 @@ def test_contraction_preserves_cicy_shape():
         assert is_cicy(out)
         assert not is_block_diagonal(out)
         assert euler_number(cfg) - euler_number(out) == 2 * odp_count(site)
-
-
-# ----------------------------------------------------------------------
-# degeneracy loci
-
-
-def test_degeneracy_expected_codim():
-    assert degeneracy_expected_codim(3, 3, 1) == 4
-    assert degeneracy_expected_codim(4, 4, 2) == 4
-    assert degeneracy_expected_codim(5, 3, 3) == 0
-    assert degeneracy_expected_codim(2, 2, 1) == 1
-
-
-def test_degeneracy_expected_codim_rejects_bad_rank():
-    with pytest.raises(ValueError):
-        degeneracy_expected_codim(3, 2, 3)
-    with pytest.raises(ValueError):
-        degeneracy_expected_codim(3, 3, -1)
-
-
-def test_degeneracy_expected_codim_is_symmetric():
-    for m in range(1, 6):
-        for n in range(1, 6):
-            for k in range(min(m, n) + 1):
-                assert degeneracy_expected_codim(m, n, k) == degeneracy_expected_codim(n, m, k)
-                assert degeneracy_expected_codim(m, n, k) >= 0
-    assert degeneracy_expected_codim(3, 3, 3) == 0  # full rank drops nothing
