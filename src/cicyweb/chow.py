@@ -8,12 +8,18 @@ index sum_i e_i * stride_i (last factor fastest), so every ring operation
 is a pass over at most prod(n_i + 1) cells and every computation is exact;
 there is no floating point anywhere in this module.
 
+The operations are +, -, * and ** (truncating), / by a unit (a class with
+constant term 1), graded parts, integration and the intersection pairing.
 Integration over the fundamental class extracts the coefficient of the
 point class s_1^{n_1} * ... * s_k^{n_k}, the last cell of the lattice.
+The pairing ``a.pair(b)`` is the integral of a * b without the product:
+the monomials s^e and s^{n-e} multiply to the point class, and they sit
+at complementary indices i and N - 1 - i of the N-cell lattice.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 from math import comb, factorial
 from types import MappingProxyType
@@ -346,6 +352,24 @@ class ChowClass:
         """Integral over the fundamental class: coefficient of the point class."""
         return self._coeffs[-1]
 
+    def pair(self, other: "ChowClass") -> int:
+        """The intersection pairing: the integral of self * other.
+
+        Only complementary cells multiply to the point class, so this is
+        sum_i a[i] * b[N - 1 - i]; no product is built.
+
+        Examples
+        --------
+        >>> V = AmbientSpace([3, 1])
+        >>> h = ChowClass.linear_form(V, (1, 0))
+        >>> (h ** 3).pair(ChowClass.linear_form(V, (5, 2)))
+        2
+        """
+        dual = self._coerce(other)
+        if dual is NotImplemented:
+            raise TypeError(f"cannot pair a ChowClass with {type(other).__name__}")
+        return sum(map(operator.mul, self._coeffs, reversed(dual._coeffs)))
+
     # ------------------------------------------------------------------
     # rendering
 
@@ -436,14 +460,13 @@ def tangent_chern(ambient: AmbientSpace) -> ChowClass:
     """Total Chern class of the tangent bundle, prod_i (1 + s_i)^{n_i+1}.
 
     Each factor expands by the Euler sequence on P^{n_i} and is truncated
-    at s_i^{n_i}.
+    at s_i^{n_i}; the factors touch disjoint variables, so the coefficient
+    list is the mixed-radix product of the rows C(n_i + 1, e).
     """
-    coeffs = []
-    for exp in ambient.exponents():
-        coeff = 1
-        for e, n in zip(exp, ambient.factors):
-            coeff *= comb(n + 1, e)
-        coeffs.append(coeff)
+    coeffs = [1]
+    for n in ambient.factors:
+        row = [comb(n + 1, e) for e in range(n + 1)]
+        coeffs = [c * r for c in coeffs for r in row]
     return ChowClass._dense(ambient, coeffs)
 
 

@@ -41,19 +41,25 @@ from .configuration import ConfigurationMatrix, is_block_diagonal, is_cicy
 def _euler_from_columns(
     factors: tuple[int, ...], columns: tuple[MultiDegree, ...]
 ) -> int:
-    """Point-class coefficient of c(TV) * s(E) * c_top(E).
+    """The integral of c_m(E) * c(TV) / c(E), with E = sum_j L_j.
 
-    Dividing by each unit 1 + c_1(L_j) and multiplying by each c_1(L_j) is
-    one pass over the lattice per factor, where the reference route
+    The order of the ring operations is chosen for cost; the ring is
+    commutative, so the integral is the Gauss-Bonnet one.  c_m(E) is the
+    product of the m first Chern classes c_1(L_j), a class of degree m, so
+    it is built first: its support is the small set of degree-m cells.
+    Dividing it by each unit 1 + c_1(L_j) is then a forward pass that only
+    touches cells of degree >= m.  Of c(TV) only the part of complementary
+    degree reaches the point class, so the pass ends in the pairing with
+    c(TV) instead of a full product.  The reference route
     (:func:`euler_number_by_definition`) multiplies whole Segre classes.
     """
     ambient = AmbientSpace(factors)
-    total = tangent_chern(ambient)
+    top = ChowClass.one(ambient)
     for col in columns:
-        total = total / (1 + ChowClass.linear_form(ambient, col))
+        top = top * ChowClass.linear_form(ambient, col)
     for col in columns:
-        total = total * ChowClass.linear_form(ambient, col)
-    return total.integrate()
+        top = top / (1 + ChowClass.linear_form(ambient, col))
+    return top.pair(tangent_chern(ambient))
 
 
 @lru_cache(maxsize=65536)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chow import AmbientSpace, MultiDegree, chern_of_sum
+from .chow import AmbientSpace, ChowClass, MultiDegree, chern_of_sum
 from .configuration import ConfigurationMatrix
 from .invariants import euler_number
 
@@ -187,18 +187,21 @@ def split(
 def odp_count(site: ContractionSite) -> int:
     """Number of ordinary double points of the contracted member.
 
-    int_P ( c2(E)^2 - c1(E) c3(E) ) * c_{rank F}(F), all exact; the result
-    must be non-negative (a negative value signals a bad site).
+    int_P ( c2(E)^2 - c1(E) c3(E) ) * c_{rank F}(F), all exact.  F is a sum
+    of line bundles, so its top Chern class is the product of their first
+    Chern classes c1(F_j); the integral is the pairing of that product
+    with the E-part.  The result must be non-negative (a negative value
+    signals a bad site).
     """
     P = site.reduced_ambient
     e_total = chern_of_sum(P, site.collapsing_bundles)
     c1 = e_total.graded_part(1)
     c2 = e_total.graded_part(2)
     c3 = e_total.graded_part(3)
-    residual = site.residual_bundles
-    f_top = chern_of_sum(P, residual).graded_part(len(residual))
-    count = ((c2 * c2) - (c1 * c3)) * f_top
-    value = count.integrate()
+    f_top = ChowClass.one(P)
+    for d in site.residual_bundles:
+        f_top = f_top * ChowClass.linear_form(P, d)
+    value = (c2 * c2 - c1 * c3).pair(f_top)
     if value < 0:
         raise ValueError(f"negative ODP count {value}: not a valid contraction site")
     return value

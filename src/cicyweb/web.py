@@ -301,9 +301,10 @@ def verify_chain(chain: TransitionChain) -> ChainReport:
     stored waypoint; every waypoint is a valid non-block-diagonal CICY
     configuration; and the contraction bookkeeping
     e(resolved) - e(smoothed) = 2 * ODP count holds exactly (for split
-    steps, via the reverse contraction at the appended row of the result).
-    Failures carry their step index; the transition numbers of the steps
-    that did verify are reported either way.
+    steps, via the reverse contraction at the appended row of the result,
+    and a split step must carry no stored report).  Failures carry their
+    step index; the transition numbers of the steps that did verify are
+    reported either way.
     """
     failures: list[str] = []
     checks: list[StepCheck] = []
@@ -340,6 +341,8 @@ def verify_chain(chain: TransitionChain) -> ChainReport:
                     f"step {index}: stored report does not match recomputation"
                 )
         else:
+            if step.report is not None:
+                failures.append(f"step {index}: split step carries a report")
             # the reverse contraction lives at the appended row of the result
             reverse_row = produced.k - 1
             ones = tuple(j for j, q in enumerate(produced.rows[reverse_row]) if q == 1)

@@ -197,6 +197,16 @@ def test_tangent_chern_p1_fourth_power():
     assert tangent_chern(P1x4) == expected
 
 
+def test_tangent_chern_matches_ring_product_seeded_sweep():
+    rng = random.Random(4417)
+    for _ in range(40):
+        ambient = AmbientSpace([rng.randint(1, 4) for _ in range(rng.randint(1, 4))])
+        expected = ChowClass.one(ambient)
+        for i, n in enumerate(ambient.factors):
+            expected = expected * (1 + ChowClass.hyperplane(ambient, i)) ** (n + 1)
+        assert tangent_chern(ambient) == expected, ambient
+
+
 # ----------------------------------------------------------------------
 # line-bundle Euler characteristics
 
@@ -299,6 +309,17 @@ _units = st.builds(
 def test_div_inverts_mul_by_units(a, u):
     assert (a / u) * u == a
     assert a / u == a * segre_inverse(u)
+
+
+@given(_classes, _classes)
+def test_pair_is_integral_of_product(a, b):
+    assert a.pair(b) == (a * b).integrate()
+    assert a.pair(b) == b.pair(a)
+
+
+def test_pair_rejects_ambient_mismatch():
+    with pytest.raises(ValueError):
+        ChowClass.one(P4).pair(ChowClass.one(P3xP1))
 
 
 @given(_classes)

@@ -292,3 +292,21 @@ def test_hilbert_respects_polarization_scaling():
     hp2 = hilbert_polynomial(QUINTIC, (2,))
     for l in range(5):
         assert hp2.value_at(l) == hp1.value_at(2 * l)
+
+
+# ----------------------------------------------------------------------
+# configuration identities
+
+
+def test_conic_identity_euler_and_hilbert():
+    # A (2, 0) column on a P^2 row cuts a conic, a P^1 embedded by O(2):
+    # dropping the column and turning the row into a P^1 row with its other
+    # entries doubled gives the same member, polarized by (2a, b) for (a, b).
+    conic = ConfigurationMatrix([2, 3], [[1, 2], [4, 0]])
+    line = ConfigurationMatrix([1, 3], [[2], [4]])
+    assert euler_number(conic) == euler_number(line) == -168
+    for (a, b) in ((1, 1), (2, 1), (1, 2)):
+        left = hilbert_polynomial(conic, (a, b)).coefficients
+        assert left == hilbert_polynomial(line, (2 * a, b)).coefficients
+    hp = hilbert_polynomial(line, (4, 1))
+    assert hp.render() == "(25/3)*l^3 + (35/3)*l"

@@ -326,6 +326,21 @@ def test_chain_json_detects_tampered_numbers():
     assert any("stored report" in failure for failure in report.failures)
 
 
+def test_chain_json_detects_report_on_split_step():
+    import json as jsonlib
+
+    chain = connect_to_c1111(QUINTIC_SPLIT)
+    payload = jsonlib.loads(chain_to_json(chain))
+    index = next(i for i, entry in enumerate(payload["steps"]) if entry["kind"] == "split")
+    payload["steps"][index].update(
+        odp_count=999, euler_before=1, euler_after=-1997, ineffective=False
+    )
+    rebuilt = chain_from_json(jsonlib.dumps(payload))
+    report = verify_chain(rebuilt)
+    assert not report.ok
+    assert f"step {index}: split step carries a report" in report.failures
+
+
 # ----------------------------------------------------------------------
 # the random generator
 
