@@ -16,7 +16,6 @@ from .chow import (
     binomial_poly,
     chern_of_sum,
     chi_line_bundle,
-    integrate,
     segre_inverse,
     tangent_chern,
 )
@@ -125,7 +124,6 @@ __all__ = [
     "get_entry",
     "hilbert_polynomial",
     "hodge_numbers",
-    "integrate",
     "is_block_diagonal",
     "is_cicy",
     "layout_map",

@@ -22,7 +22,6 @@ from .chow import AmbientSpace, chern_of_sum
 from .configuration import (
     C1111,
     ConfigurationMatrix,
-    canonical_key,
     equivalent,
     parse_matrix,
     validate,
@@ -132,8 +131,6 @@ def quintic_chain() -> TransitionChain:
             ChainStep(
                 kind="split",
                 after_matrix=after,
-                before=canonical_key(before),
-                after=canonical_key(after),
                 column=0,
                 n=1,
                 parts=(residual, unit),
@@ -145,8 +142,6 @@ def quintic_chain() -> TransitionChain:
         ChainStep(
             kind="contract",
             after_matrix=ways[5],
-            before=canonical_key(flat),
-            after=canonical_key(ways[5]),
             row=0,
             one_columns=tuple(range(5)),
             report=analyze(site),

@@ -411,11 +411,6 @@ class ChowClass:
 # module-level operations
 
 
-def integrate(a: ChowClass) -> int:
-    """Integral over the fundamental class (coefficient of the point class)."""
-    return a.integrate()
-
-
 def chern_of_sum(ambient: AmbientSpace, bundles: Iterable[Iterable[int]]) -> ChowClass:
     """Total Chern class of a direct sum of line bundles.
 

@@ -17,12 +17,13 @@ termination measure:
   row holds a single 2, is C1111.
 
 A chain is a start matrix plus steps; each step's parameters apply to the
-waypoint before it and the step stores the literal waypoint after it.
-Between steps only canonical-key continuity is required, which is what
-lets reversed chains re-anchor on their own waypoints.  ``verify_chain``
-re-executes everything and certifies each contraction (for split steps,
-the reverse contraction) by the exact bookkeeping
-e(resolved) - e(smoothed) = 2 * ODP count.
+waypoint before it and the step stores the literal waypoint after it.  No
+canonical keys are recorded: the continuity check is that applying a
+step's parameters lands on its stored waypoint up to row/column
+permutation, which is what lets reversed chains re-anchor on their own
+waypoints.  ``verify_chain`` re-executes everything and certifies each
+contraction (for split steps, the reverse contraction) by the exact
+bookkeeping e(resolved) - e(smoothed) = 2 * ODP count.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .transitions import (
     TransitionReport,
     analyze,
     contract,
+    find_contraction_sites,
     split,
 )
 
@@ -63,7 +65,9 @@ class ChainStep:
     one_columns), both against the waypoint before this step.
     ``after_matrix`` is the literal waypoint the chain continues from;
     applying the parameters must land on it up to row/column permutation
-    (equal canonical keys ``before``/``after``).  ``report`` carries the
+    (equal canonical keys, checked by :func:`verify_chain`; none is
+    stored).  A contract step is legal only at a site that
+    :func:`find_contraction_sites` lists.  ``report`` carries the
     transition bookkeeping for contract steps; split steps leave it None
     (their numbers belong to the reverse contraction and are recomputed
     during verification).
@@ -71,8 +75,6 @@ class ChainStep:
 
     kind: str  # "split" | "contract"
     after_matrix: ConfigurationMatrix
-    before: bytes
-    after: bytes
     column: Optional[int] = None
     n: Optional[int] = None
     parts: Optional[tuple[MultiDegree, ...]] = None
@@ -85,17 +87,12 @@ class ChainStep:
         if self.kind == "split":
             return split(cfg, self.column, self.n, list(self.parts))
         if self.kind == "contract":
-            expected = tuple(j for j, q in enumerate(cfg.rows[self.row]) if q == 1)
-            if (
-                expected != self.one_columns
-                or len(expected) != cfg.factors[self.row] + 1
-                or sum(cfg.rows[self.row]) != len(expected)
-            ):
+            site = ContractionSite(config=cfg, row=self.row, one_columns=self.one_columns)
+            if site not in find_contraction_sites(cfg):
                 raise ValueError(
                     f"row {self.row + 1} is not a contraction site with columns "
                     f"{tuple(j + 1 for j in self.one_columns)}"
                 )
-            site = ContractionSite(config=cfg, row=self.row, one_columns=self.one_columns)
             return contract(site)
         raise ValueError(f"unknown step kind {self.kind!r}")
 
@@ -133,7 +130,8 @@ class StepCheck:
 
 
 #: What chain verification takes on faith: it certifies the arithmetic of
-#: every step, not the geometry of generic members.
+#: every step, not the geometry of generic members.  Every verified chain
+#: rests on these; ``cicyweb connect`` reports them.
 CHAIN_ASSUMPTIONS = (
     "smoothness of generic members of intermediate configurations is assumed, not checked",
 )
@@ -148,7 +146,6 @@ class ChainReport:
     checks: tuple[StepCheck, ...]
     start_key: bytes
     end_key: bytes
-    assumptions: tuple[str, ...] = CHAIN_ASSUMPTIONS
 
 
 def _web_state_problems(cfg: ConfigurationMatrix, where: str) -> list[str]:
@@ -223,8 +220,6 @@ def connect_to_c1111(cfg: ConfigurationMatrix) -> TransitionChain:
                 ChainStep(
                     kind="split",
                     after_matrix=nxt,
-                    before=canonical_key(current),
-                    after=canonical_key(nxt),
                     column=j,
                     n=1,
                     parts=(residual, unit),
@@ -245,8 +240,6 @@ def connect_to_c1111(cfg: ConfigurationMatrix) -> TransitionChain:
                 ChainStep(
                     kind="contract",
                     after_matrix=nxt,
-                    before=canonical_key(current),
-                    after=canonical_key(nxt),
                     row=big,
                     one_columns=ones,
                     report=analyze(site),
@@ -277,8 +270,6 @@ def connect_to_c1111(cfg: ConfigurationMatrix) -> TransitionChain:
             ChainStep(
                 kind="contract",
                 after_matrix=nxt,
-                before=canonical_key(current),
-                after=canonical_key(nxt),
                 row=i,
                 one_columns=ones,
                 report=analyze(site),
@@ -297,9 +288,10 @@ def verify_chain(chain: TransitionChain) -> ChainReport:
     """Re-execute a chain, certifying every step.
 
     Checks, per step: the operation is legal on the waypoint before it;
-    the result's canonical key matches the recorded ``after`` and the
-    stored waypoint; every waypoint is a valid non-block-diagonal CICY
-    configuration; and the contraction bookkeeping
+    the result's canonical key matches that of the stored waypoint (the
+    continuity check: the next step applies to that waypoint); every
+    waypoint is a valid non-block-diagonal CICY configuration; and the
+    contraction bookkeeping
     e(resolved) - e(smoothed) = 2 * ODP count holds exactly (for split
     steps, via the reverse contraction at the appended row of the result,
     and a split step must carry no stored report).  Failures carry their
@@ -313,18 +305,12 @@ def verify_chain(chain: TransitionChain) -> ChainReport:
     start_key = canonical_key(current)
 
     for index, step in enumerate(chain.steps):
-        key_now = canonical_key(current)
-        if step.before != key_now:
-            failures.append(f"step {index}: recorded before-key does not match")
         try:
             produced = step.apply(current)
         except ValueError as err:
             failures.append(f"step {index}: illegal {step.kind}: {err}")
             break
-        produced_key = canonical_key(produced)
-        if produced_key != step.after:
-            failures.append(f"step {index}: recorded after-key does not match")
-        if canonical_key(step.after_matrix) != produced_key:
+        if canonical_key(step.after_matrix) != canonical_key(produced):
             failures.append(f"step {index}: stored waypoint is not the step's result")
         failures.extend(
             f"step {index}: {problem}"
@@ -405,8 +391,6 @@ def reverse_chain(chain: TransitionChain) -> TransitionChain:
                 ChainStep(
                     kind="contract",
                     after_matrix=before_matrix,
-                    before=step.after,
-                    after=step.before,
                     row=row,
                     one_columns=ones,
                     report=analyze(site),
@@ -430,8 +414,6 @@ def reverse_chain(chain: TransitionChain) -> TransitionChain:
                 ChainStep(
                     kind="split",
                     after_matrix=before_matrix,
-                    before=step.after,
-                    after=step.before,
                     column=col_map[step.one_columns[0]],
                     n=before_matrix.factors[step.row],
                     parts=parts,
@@ -492,12 +474,15 @@ def chain_to_json(chain: TransitionChain) -> str:
 
 
 def chain_from_json(text: str) -> TransitionChain:
-    """Rebuild a chain from its JSON form (re-deriving canonical keys)."""
+    """Rebuild a chain from its JSON form.
+
+    Nothing is checked here beyond the format: :func:`verify_chain` on the
+    result re-executes every step against the stored waypoints.
+    """
     payload = json.loads(text)
     start = parse_matrix("\n".join(payload["start"]))
     end = parse_matrix("\n".join(payload["end"]))
     steps = []
-    current = start
     for entry in payload["steps"]:
         after_matrix = parse_matrix("\n".join(entry["matrix"]))
         report = None
@@ -512,8 +497,6 @@ def chain_from_json(text: str) -> TransitionChain:
             step = ChainStep(
                 kind="split",
                 after_matrix=after_matrix,
-                before=canonical_key(current),
-                after=canonical_key(after_matrix),
                 column=int(entry["column"]),
                 n=int(entry["n"]),
                 parts=tuple(tuple(int(x) for x in part) for part in entry["parts"]),
@@ -523,14 +506,11 @@ def chain_from_json(text: str) -> TransitionChain:
             step = ChainStep(
                 kind="contract",
                 after_matrix=after_matrix,
-                before=canonical_key(current),
-                after=canonical_key(after_matrix),
                 row=int(entry["row"]),
                 one_columns=tuple(int(j) for j in entry["one_columns"]),
                 report=report,
             )
         steps.append(step)
-        current = after_matrix
     return TransitionChain(start=start, steps=tuple(steps), end=end)
 
 
