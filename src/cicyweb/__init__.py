@@ -39,6 +39,7 @@ from .invariants import (
     BettiBaseCaseError,
     HilbertPolynomial,
     HodgePair,
+    InternalConsistencyError,
     betti2,
     ci_point_count,
     double_cover_euler,
@@ -48,7 +49,6 @@ from .invariants import (
 )
 from .transitions import (
     ContractionSite,
-    InternalConsistencyError,
     TransitionReport,
     analyze,
     contract,

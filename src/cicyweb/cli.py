@@ -10,7 +10,9 @@ any subcommand to the machine-readable report::
 
 Exit codes: 0 success, 1 validation failure or expected-value mismatch,
 2 usage error, 3 internal-consistency failure (the certified node count
-disagreeing with the direct Euler-number difference, or a web-walk
+disagreeing with the direct Euler-number difference, the intersection
+numbers disagreeing with the Chern-class Euler number or giving a
+non-integral chi(O_X(J)), or a web-walk
 invariant failing — a bug, not bad input).  ANSI styling is disabled when ``CICY_NO_COLOR`` is set or stdout
 is not a terminal.
 """
@@ -34,13 +36,13 @@ from .configuration import (
 )
 from .invariants import (
     BettiBaseCaseError,
+    InternalConsistencyError,
     betti2,
     euler_number,
     hilbert_polynomial,
     hodge_numbers,
 )
 from .transitions import (
-    InternalConsistencyError,
     analyze,
     contract,
     find_contraction_sites,
@@ -142,7 +144,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
             pair = hodge_numbers(cfg)
             results["hodge"] = {"h11": pair.h11, "h21": pair.h21}
             lines.append(f"Hodge pair: h11 = {pair.h11}, h21 = {pair.h21}")
-        except (BettiBaseCaseError, ValueError, ArithmeticError) as err:
+        except (BettiBaseCaseError, ValueError) as err:
             results["hodge_error"] = str(err)
             lines.append(f"Hodge pair: unavailable ({err})")
 
@@ -158,6 +160,14 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         lines.append(f"Hilbert polynomial (polarization {list(polarization)}): {hp.render()}")
         lines.append("  l:      " + "  ".join(f"{l}" for l in _HILBERT_TABLE_RANGE))
         lines.append("  chi(l): " + "  ".join(str(values[str(l)]) for l in _HILBERT_TABLE_RANGE))
+        if report.is_cicy:
+            # a CICY 3-fold's polynomial is kappa(J,J,J) l^3 / 6 + (c2 . J) l / 12
+            results["intersection"] = {
+                "kappa_JJJ": int(6 * hp.coefficients[3]),
+                "c2_J": int(12 * hp.coefficients[1]),
+            }
+    except InternalConsistencyError:
+        raise
     except (ValueError, ArithmeticError) as err:
         results["hilbert_error"] = str(err)
         lines.append(f"Hilbert polynomial: unavailable ({err})")

@@ -8,7 +8,10 @@ the ambient product of projective spaces:
 * second Betti numbers via the alternating-sum recursion coming from the
   Lefschetz-type exact sequence for the ample divisor sum;
 * Hodge pairs (h11, h21) for Calabi-Yau 3-fold members;
-* Hilbert polynomials from the Koszul resolution of the member;
+* Hilbert polynomials: for a CICY 3-fold from its triple intersection
+  numbers (Hirzebruch-Riemann-Roch with c1 = 0), checked against the
+  Chern-class Euler number and the integrality of chi(O_X(J)); for any
+  other member from the Koszul resolution;
 * complete-intersection point counts and branched double-cover Euler
   numbers for the composite double-solid bookkeeping.
 """
@@ -34,6 +37,19 @@ from .chow import (
 from .configuration import ConfigurationMatrix, is_block_diagonal, is_cicy
 
 
+class InternalConsistencyError(ArithmeticError):
+    """An exact identity the code relies on failed (a bug, not bad input).
+
+    Raised when two independent routes to one number disagree (the closed
+    ODP formula against the Gauss-Bonnet Euler difference, the intersection
+    numbers' Euler number against the Chern-class pass), when an Euler
+    number that must be even is odd or a sheaf Euler characteristic
+    chi(O_X(J)) comes out non-integral, and when a web-walk invariant (a
+    termination measure, the hub end state, a generated matrix) does not
+    hold.
+    """
+
+
 # ----------------------------------------------------------------------
 # Euler numbers
 
@@ -54,12 +70,18 @@ def _euler_from_columns(
     (:func:`euler_number_by_definition`) multiplies whole Segre classes.
     """
     ambient = AmbientSpace(factors)
-    top = ChowClass.one(ambient)
-    for col in columns:
-        top = top * ChowClass.linear_form(ambient, col)
+    top = _column_product(ambient, columns)
     for col in columns:
         top = top / (1 + ChowClass.linear_form(ambient, col))
     return top.pair(tangent_chern(ambient))
+
+
+def _column_product(ambient: AmbientSpace, columns: Iterable[MultiDegree]) -> ChowClass:
+    """prod_j c_1(L_j): the top Chern class c_m(E) of E = sum_j L_j."""
+    product = ChowClass.one(ambient)
+    for col in columns:
+        product = product * ChowClass.linear_form(ambient, col)
+    return product
 
 
 @lru_cache(maxsize=65536)
@@ -115,10 +137,7 @@ def ci_point_count(ambient: AmbientSpace, bundles: Sequence[Iterable[int]]) -> i
         raise ValueError(
             f"need {ambient.dim} divisors for a point count on {ambient}, got {len(bundles)}"
         )
-    product = ChowClass.one(ambient)
-    for d in bundles:
-        product = product * ChowClass.linear_form(ambient, d)
-    return product.integrate()
+    return _column_product(ambient, bundles).integrate()
 
 
 def double_cover_euler(e_base: int, e_branch: int) -> int:
@@ -218,7 +237,7 @@ def hodge_numbers(cfg: ConfigurationMatrix) -> HodgePair:
     h11 = betti2(cfg)
     e = euler_number(cfg)
     if e % 2:
-        raise ArithmeticError(f"odd Euler number {e}: internal inconsistency")
+        raise InternalConsistencyError(f"odd Euler number {e} for a CICY 3-fold")
     return HodgePair(h11=h11, h21=h11 - e // 2)
 
 
@@ -303,15 +322,41 @@ def hilbert_polynomial(
 ) -> HilbertPolynomial:
     """Exact Hilbert polynomial chi(O_X(l * polarization)) of a member.
 
-    The Koszul resolution of the member by the defining bundles turns chi
-    into an alternating sum of line-bundle Euler characteristics, each a
-    polynomial in l of degree at most dim V; exact rational interpolation
-    through dim V + 1 sample points recovers it, and all coefficients above
-    the member dimension must cancel (checked).
+    Two routes, chosen by the input:
+
+    * a CICY 3-fold (:func:`is_cicy`: dimension 3, every row sum n_i + 1)
+      takes its triple intersection numbers.  Hirzebruch-Riemann-Roch gives
+      chi(O_X(lJ)) = J^3 l^3 / 6 + c1 J^2 l^2 / 4 + (c1^2 + c2) J l / 12
+      + chi(O_X), and c1 = 0 kills the l^2 term and chi(O_X) = c1 c2 / 24,
+      so the polynomial is kappa(J,J,J) l^3 / 6 + (c2 . J) l / 12 exactly.
+      The Euler number read off the same intersection numbers must equal
+      the Chern-class pass of :func:`euler_number`, and chi(O_X(J)) must
+      be an integer, or :class:`InternalConsistencyError` is raised.
+    * every other member (surfaces, K3s, other dimensions) takes the Koszul
+      resolution by the defining bundles, an alternating sum of ambient
+      line-bundle Euler characteristics interpolated exactly through
+      dim V + 1 sample points; all coefficients above the member dimension
+      must cancel (checked).
+
+    Examples
+    --------
+    >>> hilbert_polynomial(ConfigurationMatrix([4], [[5]]), [1]).render()
+    '(5/6)*l^3 + (25/6)*l'
     """
     polarization = cfg.ambient.check_degree(polarization)
     if any(p < 1 for p in polarization):
         raise ValueError(f"polarization must be ample (all entries >= 1), got {polarization}")
+    if is_cicy(cfg):
+        coeffs = _hilbert_by_intersection(cfg, polarization)
+    else:
+        coeffs = _hilbert_by_koszul(cfg, polarization)
+    return HilbertPolynomial(coefficients=coeffs, polarization=polarization)
+
+
+def _hilbert_by_koszul(
+    cfg: ConfigurationMatrix, polarization: MultiDegree
+) -> tuple[Fraction, ...]:
+    """Hilbert coefficients of any member through the Koszul resolution."""
     bound = cfg.ambient.dim
     samples = [
         _chi_member(cfg, tuple(l * p for p in polarization)) for l in range(bound + 1)
@@ -323,7 +368,62 @@ def hilbert_polynomial(
             raise ArithmeticError(
                 f"chi polynomial has unexpected degree-{p} coefficient {coeffs[p]}"
             )
-    return HilbertPolynomial(coefficients=tuple(coeffs[: d + 1]), polarization=polarization)
+    return tuple(coeffs[: d + 1])
+
+
+def _hilbert_by_intersection(
+    cfg: ConfigurationMatrix, polarization: MultiDegree
+) -> tuple[Fraction, ...]:
+    """Hilbert coefficients of a CICY 3-fold from its intersection numbers.
+
+    Two exact identities are checked before returning.  The Euler number
+    read off mu must equal the Chern-class pass (which shares mu but not
+    the power-sum formula), and chi(O_X(J)) = (4 kappa(J,J,J) + 2 c2.J) / 24,
+    a sheaf Euler characteristic, must be an integer, which ties the two
+    returned coefficients together.  A fault in mu itself passes both; the
+    tests compare this route with the Koszul sum for that.
+    """
+    columns = tuple(sorted(cfg.columns()))
+    three_e, two_c2j, jjj = _cy3_numbers(cfg.factors, columns, polarization)
+    e = _euler_cached(cfg.factors, columns)
+    if three_e != 3 * e or (4 * jjj + two_c2j) % 24:
+        raise InternalConsistencyError(
+            f"intersection numbers give 3e = {three_e}, 2 c2.J = {two_c2j} and "
+            f"kappa(J,J,J) = {jjj}, Euler number {e}, for:\n{cfg.render()}"
+        )
+    return (Fraction(0), Fraction(two_c2j, 24), Fraction(0), Fraction(jjj, 6))
+
+
+def _cy3_numbers(
+    factors: tuple[int, ...],
+    columns: tuple[MultiDegree, ...],
+    polarization: MultiDegree,
+) -> tuple[int, int, int]:
+    """(3e, 2 c2.J, kappa(J,J,J)) of a CICY 3-fold, J the polarization.
+
+    Each is the pairing of mu = prod_j c1(L_j), a class of codimension 3 in
+    the ambient, with a cubic form in the hyperplane classes s_i, so only
+    mu's codimension-3 cells (the triple intersection numbers) contribute.
+    The Chern roots x of TX = TV - E are the s_i, n_i + 1 times each, and
+    the column classes D_j, each counted -1; with c1 = 0 the power sums
+    p3 = sum_x x^3 = 3 c3 and p2 = sum_x x^2 = -2 c2 give
+
+        3e      = int mu * sum_x x^3
+        2 c2.J  = -int mu * J * sum_x x^2
+        J^3     = int mu * J^3 .
+    """
+    ambient = AmbientSpace(factors)
+    mu = _column_product(ambient, columns)
+    J = ChowClass.linear_form(ambient, polarization)
+    mu_j = mu * J
+    roots = [(n + 1, ChowClass.hyperplane(ambient, i)) for i, n in enumerate(factors)]
+    roots += [(-1, ChowClass.linear_form(ambient, col)) for col in columns]
+    three_e = two_c2j = 0
+    for count, x in roots:
+        x2 = x * x
+        three_e += count * mu.pair(x2 * x)
+        two_c2j -= count * mu_j.pair(x2)
+    return three_e, two_c2j, mu_j.pair(J * J)
 
 
 def _interpolate(values: Sequence[int]) -> list[Fraction]:

@@ -23,16 +23,7 @@ from dataclasses import dataclass
 
 from .chow import AmbientSpace, ChowClass, MultiDegree, chern_of_sum
 from .configuration import ConfigurationMatrix
-from .invariants import euler_number
-
-
-class InternalConsistencyError(ArithmeticError):
-    """An exact identity the code relies on failed (a bug, not bad input).
-
-    Raised when the closed ODP formula and direct Gauss-Bonnet disagree, and
-    when a web-walk invariant (a termination measure, the hub end state, a
-    generated matrix) does not hold.
-    """
+from .invariants import InternalConsistencyError, euler_number
 
 
 @dataclass(frozen=True)

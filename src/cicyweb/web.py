@@ -310,7 +310,11 @@ def verify_chain(chain: TransitionChain) -> ChainReport:
         except ValueError as err:
             failures.append(f"step {index}: illegal {step.kind}: {err}")
             break
-        if canonical_key(step.after_matrix) != canonical_key(produced):
+        # equal matrices have equal keys, so the keys are only needed when
+        # the stored waypoint is a different layout (reversed splits)
+        if produced != step.after_matrix and (
+            canonical_key(step.after_matrix) != canonical_key(produced)
+        ):
             failures.append(f"step {index}: stored waypoint is not the step's result")
         failures.extend(
             f"step {index}: {problem}"

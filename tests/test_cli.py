@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cicyweb import web
+from cicyweb import invariants, web
 from cicyweb.cli import main
 from cicyweb.web import chain_from_json, verify_chain
 
@@ -98,6 +98,26 @@ def test_invariants_json(mixed_file, capsys):
     assert results["hilbert"]["values"]["5"] == 1460
 
 
+def test_invariants_json_intersection_numbers(quintic_file, capsys):
+    assert main(["invariants", quintic_file, "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["intersection"] == {"kappa_JJJ": 5, "c2_J": 50}
+    assert main(["invariants", quintic_file, "--polarization", "2", "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["intersection"] == {"kappa_JJJ": 40, "c2_J": 100}
+
+
+@pytest.mark.parametrize("offset, message", [(1, "odd Euler number"), (2, "intersection numbers")])
+def test_invariants_euler_mismatch_exits_three(quintic_file, capsys, monkeypatch, offset, message):
+    euler = invariants._euler_cached
+    monkeypatch.setattr(invariants, "_euler_cached", lambda f, c: euler(f, c) + offset)
+    assert main(["invariants", quintic_file]) == 3
+    captured = capsys.readouterr()
+    assert f"internal consistency failure: {message}" in captured.err
+    assert "unavailable" not in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_invariants_polarization_flag(quintic_file, capsys):
     assert main(["invariants", quintic_file, "--polarization", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -121,6 +141,7 @@ def test_invariants_degrade_gracefully_on_surfaces(tmp_path, capsys):
     assert payload["results"]["euler_number"] == 304
     assert payload["results"]["betti2"] == 302
     assert "hodge" not in payload["results"]
+    assert "intersection" not in payload["results"]
 
 
 def test_invariants_report_betti_errors(tmp_path, capsys):

@@ -16,11 +16,13 @@ from cicyweb.catalog import (
     SCHOEN_CONTRACTED,
     SCHOEN_RESOLVED,
 )
+from cicyweb import invariants
 from cicyweb.chow import AmbientSpace
 from cicyweb.configuration import C1111, ConfigurationMatrix
 from cicyweb.invariants import (
     BettiBaseCaseError,
     HodgePair,
+    InternalConsistencyError,
     betti2,
     ci_point_count,
     double_cover_euler,
@@ -231,6 +233,13 @@ def test_hodge_euler_consistency():
         assert pair.h11 == betti2(cfg)
 
 
+def test_hodge_odd_euler_is_internal_inconsistency(monkeypatch):
+    euler = invariants._euler_cached
+    monkeypatch.setattr(invariants, "_euler_cached", lambda f, c: euler(f, c) + 1)
+    with pytest.raises(InternalConsistencyError, match="odd Euler number -199"):
+        hodge_numbers(QUINTIC)
+
+
 def test_hodge_rejects_non_cicy():
     with pytest.raises(ValueError):
         hodge_numbers(OCTIC_SURFACE)
@@ -285,6 +294,46 @@ def test_hilbert_polarization_must_be_ample():
         hilbert_polynomial(QUINTIC_SPLIT, (1, 0))
     with pytest.raises(ValueError):
         hilbert_polynomial(QUINTIC, (-1,))
+
+
+def test_hilbert_intersection_route_matches_koszul():
+    # the Koszul sum is the independent reference for the CY3 route
+    rng = random.Random(3)
+    for cfg in (
+        QUINTIC,
+        QUINTIC_SPLIT,
+        MIXED_CONTRACTION_EXAMPLE,
+        C1111,
+        *(random_cicy(seed, 7, 9) for seed in range(10)),
+    ):
+        for polarization in (
+            (1,) * cfg.k,
+            tuple(rng.randint(1, 3) for _ in range(cfg.k - 1)) + (2,),
+        ):
+            assert invariants._hilbert_by_intersection(
+                cfg, polarization
+            ) == invariants._hilbert_by_koszul(cfg, polarization)
+
+
+def test_cy3_numbers_quintic_by_hand():
+    # H^3 . 5H = 5, c(TX) = (1 + H)^5 / (1 + 5H) gives c2 = 10 H^2, c3 = -40 H^3
+    three_e, two_c2j, jjj = invariants._cy3_numbers((4,), ((5,),), (1,))
+    assert (three_e, two_c2j, jjj) == (3 * -200, 2 * 50, 5)
+    assert invariants._cy3_numbers((4,), ((5,),), (2,))[1:] == (2 * 100, 40)
+
+
+def test_hilbert_euler_mismatch_is_internal_inconsistency(monkeypatch):
+    euler = invariants._euler_cached
+    monkeypatch.setattr(invariants, "_euler_cached", lambda f, c: euler(f, c) + 2)
+    with pytest.raises(InternalConsistencyError, match="Euler number -198"):
+        hilbert_polynomial(QUINTIC, (1,))
+
+
+def test_hilbert_non_integral_chi_is_internal_inconsistency(monkeypatch):
+    # 3e still matches, but chi(O_X(H)) = (4*6 + 2*50) / 24 is not an integer
+    monkeypatch.setattr(invariants, "_cy3_numbers", lambda f, c, p: (3 * -200, 2 * 50, 6))
+    with pytest.raises(InternalConsistencyError, match=r"kappa\(J,J,J\) = 6"):
+        hilbert_polynomial(QUINTIC, (1,))
 
 
 def test_hilbert_respects_polarization_scaling():
