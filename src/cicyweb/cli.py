@@ -121,6 +121,13 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     cfg = _load(args.path)
     if args.polarization:
         polarization = tuple(args.polarization)
+        if len(polarization) != cfg.k:
+            raise ValueError(
+                f"--polarization takes one entry per row: {cfg.k} expected, "
+                f"got {len(polarization)}"
+            )
+        if min(polarization) < 1:
+            raise ValueError(f"--polarization entries must be positive, got {list(polarization)}")
     else:
         polarization = tuple(1 for _ in range(cfg.k))
     results: dict = {"matrix": cfg.render().splitlines()}

@@ -14,6 +14,7 @@ exact canonical form under row/column permutation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -45,8 +46,8 @@ class ConfigurationMatrix:
     __slots__ = ("factors", "rows")
 
     def __init__(self, factors: Iterable[int], rows: Iterable[Iterable[int]]):
-        factors = tuple(int(n) for n in factors)
-        rows = tuple(tuple(int(q) for q in row) for row in rows)
+        factors = tuple(map(operator.index, factors))
+        rows = tuple(tuple(map(operator.index, row)) for row in rows)
         if not factors or any(n < 1 for n in factors):
             raise ValueError(f"ambient factors must all be >= 1, got {factors}")
         if len(rows) != len(factors):

@@ -29,6 +29,7 @@ bookkeeping e(resolved) - e(smoothed) = 2 * ODP count.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -480,7 +481,8 @@ def chain_to_json(chain: TransitionChain) -> str:
 def chain_from_json(text: str) -> TransitionChain:
     """Rebuild a chain from its JSON form.
 
-    Nothing is checked here beyond the format: :func:`verify_chain` on the
+    Nothing is checked here beyond the format (an integer field holding a
+    non-integral value raises TypeError): :func:`verify_chain` on the
     result re-executes every step against the stored waypoints.
     """
     payload = json.loads(text)
@@ -492,26 +494,26 @@ def chain_from_json(text: str) -> TransitionChain:
         report = None
         if "odp_count" in entry:
             report = TransitionReport(
-                odp_count=int(entry["odp_count"]),
-                euler_resolved=int(entry["euler_before"]),
-                euler_smoothed=int(entry["euler_after"]),
+                odp_count=operator.index(entry["odp_count"]),
+                euler_resolved=operator.index(entry["euler_before"]),
+                euler_smoothed=operator.index(entry["euler_after"]),
                 ineffective=bool(entry["ineffective"]),
             )
         if entry["kind"] == "split":
             step = ChainStep(
                 kind="split",
                 after_matrix=after_matrix,
-                column=int(entry["column"]),
-                n=int(entry["n"]),
-                parts=tuple(tuple(int(x) for x in part) for part in entry["parts"]),
+                column=operator.index(entry["column"]),
+                n=operator.index(entry["n"]),
+                parts=tuple(tuple(map(operator.index, part)) for part in entry["parts"]),
                 report=report,
             )
         else:
             step = ChainStep(
                 kind="contract",
                 after_matrix=after_matrix,
-                row=int(entry["row"]),
-                one_columns=tuple(int(j) for j in entry["one_columns"]),
+                row=operator.index(entry["row"]),
+                one_columns=tuple(map(operator.index, entry["one_columns"])),
                 report=report,
             )
         steps.append(step)

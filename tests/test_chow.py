@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cicyweb.chow import (
     AmbientSpace,
     ChowClass,
+    _lattice_for,
     binomial_poly,
     chern_of_sum,
     chi_line_bundle,
@@ -85,6 +86,19 @@ def test_div_rejects_non_unit_divisor():
     for divisor in (ChowClass.hyperplane(P3xP1, 0), 2 + ChowClass.hyperplane(P3xP1, 1), 0):
         with pytest.raises(ValueError):
             c / divisor
+
+
+def test_div_forward_pass_reads_cells_it_fills():
+    # the numerator 1 has one nonzero cell; every other cell of the quotient
+    # is filled during the pass and must still be visited by it
+    P3 = AmbientSpace([3])
+    s = ChowClass.hyperplane(P3, 0)
+    assert ChowClass.one(P3) / (1 + s) == 1 - s + s ** 2 - s ** 3
+    V = AmbientSpace([2, 1])
+    s1, s2 = ChowClass.hyperplane(V, 0), ChowClass.hyperplane(V, 1)
+    # sum_m (-(s1 + s2))^m with s1^3 = s2^2 = 0
+    expected = {(0, 0): 1, (1, 0): -1, (0, 1): -1, (2, 0): 1, (1, 1): 2, (2, 1): -3}
+    assert ChowClass.one(V) / (1 + s1 + s2) == ChowClass(V, expected)
 
 
 def test_pow_matches_repeated_mul():
@@ -274,6 +288,40 @@ def test_ring_axioms_seeded_sweep():
             assert a * zero == zero
 
 
+def _dict_product(a: ChowClass, b: ChowClass) -> ChowClass:
+    """Truncated product over exponent-vector maps: a reference for ``*``."""
+    bound = a.ambient.factors
+    out: dict = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if all(x <= n for x, n in zip(e, bound)):
+                out[e] = out.get(e, 0) + ca * cb
+    return ChowClass(a.ambient, out)
+
+
+def test_mul_and_div_match_dict_product_seeded_sweep():
+    # mixed radices up to k = 4, n_i = 4: field widths of 1 to 3 bits, with
+    # and without bias, so every overflow bit of the packed test is exercised
+    rng = random.Random(7)
+    ambients = [AmbientSpace([4, 1, 3, 2]), AmbientSpace([1, 4]), AmbientSpace([2, 2, 2])]
+    for _ in range(30):
+        ambients.append(AmbientSpace([rng.randint(1, 4) for _ in range(rng.randint(1, 4))]))
+
+    def random_terms(exps, count):
+        return {rng.choice(exps): rng.randint(-9, 9) for _ in range(count)}
+
+    for ambient in ambients:
+        exps = list(ambient.exponents())
+        for _ in range(6):
+            a = ChowClass(ambient, random_terms(exps, 8))
+            b = ChowClass(ambient, random_terms(exps, 8))
+            u = ChowClass(ambient, {**random_terms(exps, 5), (0,) * ambient.k: 1})
+            assert a * b == _dict_product(a, b)
+            assert _dict_product(a / u, u) == a
+            assert (a / u) * u == a
+
+
 _exponents = st.tuples(st.integers(0, 3), st.integers(0, 1))
 _classes = st.builds(
     lambda terms: ChowClass(P3xP1, terms),
@@ -334,3 +382,43 @@ def test_big_integer_coefficients_survive():
     s = segre_inverse(c)
     assert s.coefficient((4,)) == 10 ** 120
     assert c * s == ChowClass.one(P4)
+
+
+def test_rejects_non_integral_numbers():
+    # truncation would read each of these as a valid input
+    P3 = AmbientSpace([3])
+    with pytest.raises(TypeError):
+        AmbientSpace([3.5])
+    with pytest.raises(TypeError):
+        P3.check_degree([1.9])
+    with pytest.raises(TypeError):
+        ChowClass(P3, {(1,): 2.7})
+    with pytest.raises(TypeError):
+        ChowClass(P3, {(1.0,): 2})
+    with pytest.raises(TypeError):
+        ChowClass.constant(P3, 0.5)
+
+
+# ----------------------------------------------------------------------
+# shared layouts
+
+
+def test_layout_is_shared_per_factor_tuple():
+    a, b = AmbientSpace([3, 1]), AmbientSpace((3, 1))
+    lattice = a._layout()
+    assert b._layout() is lattice
+    assert AmbientSpace([1, 3])._layout() is not lattice
+    assert isinstance(lattice.degrees, tuple)
+    assert isinstance(lattice.packed, tuple)
+
+
+def test_layout_cache_clear_leaves_results_equal():
+    V = AmbientSpace([4, 1])
+
+    def compute():
+        c = chern_of_sum(V, [(4, 1), (1, 1)])
+        return tangent_chern(V) / c, (c * c).graded_part(3), str(segre_inverse(c))
+
+    first = compute()
+    _lattice_for.cache_clear()
+    assert compute() == first

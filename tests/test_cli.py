@@ -133,6 +133,18 @@ def test_invariants_polarization_takes_one_entry_per_row(tmp_path, capsys):
     assert payload["results"]["hilbert"]["polarization"] == [2, 1]
 
 
+@pytest.mark.parametrize(
+    "polarization, message",
+    [(["0"], "must be positive"), (["1", "2"], "1 expected, got 2")],
+)
+def test_invariants_bad_polarization_exits_one(quintic_file, capsys, polarization, message):
+    assert main(["invariants", quintic_file, "--polarization", *polarization]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --polarization")
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_invariants_degrade_gracefully_on_surfaces(tmp_path, capsys):
     path = tmp_path / "octic.txt"
     path.write_text("3 | 8\n")

@@ -56,6 +56,14 @@ def test_constructor_rejects_bad_shapes():
         ConfigurationMatrix([2, 2], [[1, 1], [1, 1, 1]])
 
 
+def test_constructor_rejects_non_integral_entries():
+    # truncation would read both as the quintic 4 | 5
+    with pytest.raises(TypeError):
+        ConfigurationMatrix([4.6], [[5]])
+    with pytest.raises(TypeError):
+        ConfigurationMatrix([4], [[5.2]])
+
+
 def test_constructor_rejects_dimension_below_one():
     # a P^1 factor cut by one divisor would leave dimension 0
     with pytest.raises(ValueError, match="dimension 0"):

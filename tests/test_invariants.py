@@ -296,6 +296,12 @@ def test_hilbert_polarization_must_be_ample():
         hilbert_polynomial(QUINTIC, (-1,))
 
 
+def test_hilbert_rejects_non_integral_polarization():
+    # truncation would read 1.9 as the polarization J = 1
+    with pytest.raises(TypeError):
+        hilbert_polynomial(QUINTIC, (1.9,))
+
+
 def test_hilbert_intersection_route_matches_koszul():
     # the Koszul sum is the independent reference for the CY3 route
     rng = random.Random(3)

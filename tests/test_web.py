@@ -333,6 +333,33 @@ def test_chain_json_detects_tampered_numbers():
     assert any("stored report" in failure for failure in report.failures)
 
 
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("split", "column"),
+        ("split", "n"),
+        ("split", "parts"),
+        ("contract", "row"),
+        ("contract", "one_columns"),
+        ("contract", "odp_count"),
+        ("contract", "euler_before"),
+    ],
+)
+def test_chain_json_rejects_non_integral_fields(kind, field):
+    # truncation would drop the 0.7 and rebuild the stored chain unchanged
+    chain = connect_to_c1111(QUINTIC)
+    payload = json.loads(chain_to_json(chain))
+    entry = next(entry for entry in payload["steps"] if entry["kind"] == kind)
+    if field == "parts":
+        entry["parts"][0][0] += 0.7
+    elif field == "one_columns":
+        entry["one_columns"][0] += 0.7
+    else:
+        entry[field] += 0.7
+    with pytest.raises(TypeError):
+        chain_from_json(json.dumps(payload))
+
+
 def test_chain_json_detects_report_on_split_step():
     import json as jsonlib
 
