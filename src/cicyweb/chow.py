@@ -2,29 +2,37 @@
 
 The Chow ring of V = P^{n_1} x ... x P^{n_k} is the truncated polynomial
 ring Z[s_1, ..., s_k] / (s_i^{n_i + 1}), where s_i is the hyperplane class
-pulled back from the i-th factor.  A class is stored densely: one Python
-integer per monomial of the lattice 0 <= e_i <= n_i, at the mixed-radix
-index sum_i e_i * stride_i (last factor fastest).  Sums and graded parts
-are one pass over the prod(n_i + 1) cells; products and quotients visit
-only the nonzero cells of their operands, found at C speed, so they cost
-the size of the support, not of the lattice.  Each layout is built once
-per factor tuple and shared by every ambient with those factors.  Every
-computation is exact; there is no floating point anywhere in this module.
+pulled back from the i-th factor.  A class is stored by its nonzero terms
+only: a dict from the packed exponent vector of each monomial to its
+nonzero integer coefficient.  Classes met in practice hold a handful of
+terms out of the prod(n_i + 1) monomials of the lattice (linear forms k,
+products of column classes a few dozen, out of a few hundred cells), so
+every operation costs the size of its operands' supports, never of the
+lattice.  Every computation is exact; there is no floating point anywhere
+in this module.
+
+Key layout.  The exponent e_i of factor i sits in a bit field of
+w_i + 1 bits, w_i = n_i.bit_length(), the first factor in the highest
+bits, so the integer order of keys is the lexicographic order of the
+exponent vectors.  The top bit of each field is an overflow bit, zero in
+every stored key.  Two monomials multiply to key i + j, and the product
+survives truncation exactly when ``(i + bias + j) & overflow`` is zero,
+where ``bias`` holds 2^w_i - 1 - n_i in each field: e_i + f_i + bias_i
+reaches the overflow bit exactly when e_i + f_i > n_i, and no field
+carries into the next.  The point class s_1^{n_1} * ... * s_k^{n_k} is
+the key ``point``, and s^e pairs with s^f to it exactly when
+f = point - e (field by field, without borrow).
 
 The operations are +, -, * and ** (truncating), / by a unit (a class with
-constant term 1), graded parts, integration and the intersection pairing.
-Integration over the fundamental class extracts the coefficient of the
-point class s_1^{n_1} * ... * s_k^{n_k}, the last cell of the lattice.
-The pairing ``a.pair(b)`` is the integral of a * b without the product:
-the monomials s^e and s^{n-e} multiply to the point class, and they sit
-at complementary indices i and N - 1 - i of the N-cell lattice.
+constant term 1), graded parts, integration and the intersection pairing
+``a.pair(b)``, the integral of a * b without the product.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
-from itertools import compress, product
+from bisect import insort
+from itertools import product
 from math import comb, factorial
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -33,66 +41,15 @@ from typing import Iterable, Iterator, Mapping
 #: Entries may be negative (duals inside Koszul-type alternating sums).
 MultiDegree = tuple[int, ...]
 
-
-class _Lattice:
-    """Mixed-radix layout of the monomials of one ambient's Chow ring.
-
-    Monomial e sits at index sum_i e_i * strides[i], last factor fastest
-    (the order of :meth:`AmbientSpace.exponents`).  ``packed[i]`` holds the
-    exponent vector of cell i in bit fields one bit wider than n_i needs,
-    and ``bias`` puts 2^w_i - 1 - n_i in each field (2^w_i > n_i): the
-    product of cells i and j survives truncation exactly when
-    ``(packed[i] + bias + packed[j]) & overflow`` is zero, and then it sits
-    at index i + j, because no exponent of the product exceeds its bound
-    and the mixed-radix sum has no carry.
-
-    One layout serves every ambient with the same factors, so ``degrees``
-    and ``packed`` are tuples.  The layouts sit in an 8-entry LRU cache;
-    :func:`_lattice_for` gives the measurements behind that bound.
-    """
-
-    __slots__ = ("strides", "degrees", "packed", "bias", "overflow")
-
-    def __init__(self, factors: tuple[int, ...]):
-        strides = []
-        degrees, packed = [0], [0]
-        bias = overflow = shift = 0
-        for n in factors:
-            strides = [s * (n + 1) for s in strides] + [1]
-            degrees = [d + e for d in degrees for e in range(n + 1)]
-            packed = [p + (e << shift) for p in packed for e in range(n + 1)]
-            width = n.bit_length()
-            bias += ((1 << width) - 1 - n) << shift
-            overflow |= 1 << (shift + width)
-            shift += width + 1
-        self.strides = tuple(strides)
-        self.degrees = tuple(degrees)
-        self.packed = tuple(packed)
-        self.bias = bias
-        self.overflow = overflow
-
-    def index(self, exp: tuple[int, ...]) -> int:
-        """Mixed-radix index of an in-range exponent vector."""
-        return sum(e * s for e, s in zip(exp, self.strides))
-
-
-@lru_cache(maxsize=8)
-def _lattice_for(factors: tuple[int, ...]) -> _Lattice:
-    """The shared layout of the ambient with these factors.
-
-    Reuse is temporal: ``analyze`` builds the reduced ambient for the node
-    count and then runs the Euler pass of the contraction on the same
-    factors, and chain verification re-walks the waypoints the search just
-    visited.  One layout per ambient object meant 1451 builds per benchmark
-    round on ``sweep`` and 1896 on ``invariants``.  8 entries spare 65% and
-    61% of them; 16 spare 68% / 62%, 64 spare 73% / 64% and an unbounded
-    cache 80% / 73%.  On ``sweep`` the unbounded cache raised the peak RSS
-    from 24.5 to 30.3 MB and 64 entries by 1.3 MB (5%), for no speed-up
-    that stood out of the noise; 8 entries hold about 0.2 MB.
-    Being a module-level ``lru_cache``, it is emptied with the package's
-    other caches.
-    """
-    return _Lattice(factors)
+# Why by terms (CPython 3.11.7, shared 2-vCPU machine, medians of three
+# best-of-5 timeit runs): on P^4 x P^3 x P^3 x P^2 x P^1, N = 480 cells,
+# with D a linear form (5 terms) and mu a product of 10 linear forms (29
+# terms), a dense list of N coefficients took 27 us for one * D, 24 us for
+# 1 + D and 18 us to pair mu / (1 + D) with c(TV); by terms these take 4,
+# 3.4 and 7 us.  mu / (1 + D) (49 terms) costs about 65 us either way, and
+# tangent_chern, which fills all N cells, 150 us against 60 us.  Nothing is
+# built or cached per factor tuple: an ambient computes its fields, bias,
+# overflow and point in O(k) when it is made.
 
 
 class AmbientSpace:
@@ -112,7 +69,7 @@ class AmbientSpace:
     (3, 1)
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_fields", "_bias", "_overflow", "_point")
 
     def __init__(self, factors: Iterable[int]):
         factors = tuple(map(operator.index, factors))
@@ -120,14 +77,30 @@ class AmbientSpace:
             raise ValueError("ambient needs at least one projective factor")
         if any(n < 1 for n in factors):
             raise ValueError(f"every factor dimension must be >= 1, got {factors}")
+        fields = []
+        bias = overflow = shift = 0
+        for n in reversed(factors):
+            width = n.bit_length()
+            fields.append((shift, (1 << width) - 1))
+            bias += ((1 << width) - 1 - n) << shift
+            overflow |= 1 << (shift + width)
+            shift += width + 1
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_fields", tuple(reversed(fields)))
+        object.__setattr__(self, "_bias", bias)
+        object.__setattr__(self, "_overflow", overflow)
+        object.__setattr__(self, "_point", self._pack(factors))
 
     def __setattr__(self, name, value):
         raise AttributeError("AmbientSpace is immutable")
 
-    def _layout(self) -> _Lattice:
-        """The monomial lattice layout, shared by all ambients with these factors."""
-        return _lattice_for(self.factors)
+    def _pack(self, exp: tuple[int, ...]) -> int:
+        """The key of an in-range exponent vector."""
+        return sum([e << s for e, (s, _) in zip(exp, self._fields)])
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent vector of a key."""
+        return tuple([(key >> s) & mask for s, mask in self._fields])
 
     @property
     def k(self) -> int:
@@ -145,7 +118,7 @@ class AmbientSpace:
         return self.factors
 
     def exponents(self) -> Iterator[tuple[int, ...]]:
-        """Iterate over all exponent vectors of the monomial lattice, in index order."""
+        """Iterate over all exponent vectors of the monomial lattice, in lexicographic order."""
         return product(*(range(n + 1) for n in self.factors))
 
     def check_degree(self, d: Iterable[int]) -> MultiDegree:
@@ -174,16 +147,15 @@ class ChowClass:
     Built from a map of exponent vectors (e_1, ..., e_k) to integers; any
     monomial with some e_i > n_i is discarded (s_i^{n_i+1} = 0), and all
     ring operations truncate the same way.  ``terms`` is a read-only map of
-    the nonzero coefficients.
+    the nonzero coefficients, in lexicographic order of the exponents.
 
     Instances are immutable; arithmetic returns new objects.
     """
 
-    __slots__ = ("ambient", "_coeffs")
+    __slots__ = ("ambient", "_cells")
 
     def __init__(self, ambient: AmbientSpace, terms: Mapping[tuple[int, ...], int]):
-        lattice = ambient._layout()
-        coeffs = [0] * len(lattice.packed)
+        cells = {}
         for exp, coeff in terms.items():
             coeff = operator.index(coeff)
             if coeff == 0:
@@ -193,16 +165,16 @@ class ChowClass:
                 raise ValueError(f"bad exponent vector {exp} for ambient {ambient}")
             if any(e > n for e, n in zip(exp, ambient.factors)):
                 continue  # truncated away by s_i^{n_i+1} = 0
-            coeffs[lattice.index(exp)] = coeff
+            cells[ambient._pack(exp)] = coeff
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_cells", cells)
 
     @classmethod
-    def _dense(cls, ambient: AmbientSpace, coeffs: list[int]) -> "ChowClass":
-        """Take ownership of a full coefficient list in lattice order, unvalidated."""
+    def _of(cls, ambient: AmbientSpace, cells: dict[int, int]) -> "ChowClass":
+        """Take ownership of a map from keys to nonzero coefficients, unvalidated."""
         self = object.__new__(cls)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_cells", cells)
         return self
 
     def __setattr__(self, name, value):
@@ -217,9 +189,8 @@ class ChowClass:
 
     @staticmethod
     def constant(ambient: AmbientSpace, value: int) -> "ChowClass":
-        coeffs = [0] * len(ambient._layout().packed)
-        coeffs[0] = operator.index(value)
-        return ChowClass._dense(ambient, coeffs)
+        value = operator.index(value)
+        return ChowClass._of(ambient, {0: value} if value else {})
 
     @staticmethod
     def one(ambient: AmbientSpace) -> "ChowClass":
@@ -238,18 +209,16 @@ class ChowClass:
     def linear_form(ambient: AmbientSpace, d: Iterable[int]) -> "ChowClass":
         """The degree-1 class sum_i d_i s_i, i.e. c_1 of the line bundle O(d)."""
         d = ambient.check_degree(d)
-        lattice = ambient._layout()
-        coeffs = [0] * len(lattice.packed)
-        for di, stride in zip(d, lattice.strides):
-            coeffs[stride] = di
-        return ChowClass._dense(ambient, coeffs)
+        return ChowClass._of(
+            ambient, {1 << s: di for di, (s, _) in zip(d, ambient._fields) if di}
+        )
 
     # ------------------------------------------------------------------
     # ring structure
 
     def _coerce(self, other) -> "ChowClass":
         if isinstance(other, ChowClass):
-            if other.ambient != self.ambient:
+            if other.ambient is not self.ambient and other.ambient != self.ambient:
                 raise ValueError(
                     f"ambient mismatch: {self.ambient} vs {other.ambient}"
                 )
@@ -262,14 +231,19 @@ class ChowClass:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ChowClass._dense(
-            self.ambient, list(map(operator.add, self._coeffs, other._coeffs))
-        )
+        cells = dict(self._cells)
+        for key, c in other._cells.items():
+            c += cells.get(key, 0)
+            if c:
+                cells[key] = c
+            else:
+                del cells[key]
+        return ChowClass._of(self.ambient, cells)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass._dense(self.ambient, list(map(operator.neg, self._coeffs)))
+        return ChowClass._of(self.ambient, {key: -c for key, c in self._cells.items()})
 
     def __sub__(self, other) -> "ChowClass":
         other = self._coerce(other)
@@ -284,18 +258,17 @@ class ChowClass:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        lattice = self.ambient._layout()
-        packed, bias, overflow = lattice.packed, lattice.bias, lattice.overflow
-        cells = range(len(packed))
-        mine, theirs = self._coeffs, other._coeffs
-        right = [(j, packed[j], theirs[j]) for j in compress(cells, theirs)]
-        out = [0] * len(packed)
-        for i in compress(cells, mine):
-            a, room = mine[i], packed[i] + bias
-            for j, pj, c in right:
-                if not (room + pj) & overflow:
-                    out[i + j] += a * c
-        return ChowClass._dense(self.ambient, out)
+        bias, overflow = self.ambient._bias, self.ambient._overflow
+        right = list(other._cells.items())
+        cells: dict[int, int] = {}
+        for i, a in self._cells.items():
+            room = i + bias
+            for j, c in right:
+                if not (room + j) & overflow:
+                    cells[i + j] = cells.get(i + j, 0) + a * c
+        if 0 in cells.values():
+            cells = {key: c for key, c in cells.items() if c}
+        return ChowClass._of(self.ambient, cells)
 
     __rmul__ = __mul__
 
@@ -303,30 +276,36 @@ class ChowClass:
         """Quotient by a unit u, a class with constant term 1.
 
         Solves q = a - (u - 1) * q in one forward pass: every monomial that
-        feeds cell i + j sits at a smaller mixed-radix index i, so q there
-        is final before it is used.  Any other divisor raises ValueError.
+        feeds key i + j sits at the smaller key i, so q there is final
+        before it is used.  Any other divisor raises ValueError.
         """
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if other.constant_term() != 1:
             raise ValueError("division needs a divisor with constant term 1")
-        lattice = self.ambient._layout()
-        packed, bias, overflow = lattice.packed, lattice.bias, lattice.overflow
-        cells = range(len(packed))
-        u = other._coeffs
-        # u[0] == 1, so cell 0 leads the support; the rest is nilpotent
-        nilpotent = [(j, packed[j], u[j]) for j in compress(cells, u)][1:]
-        q = list(self._coeffs)
-        # compress reads q lazily, one cell at a time: cell i is tested only
-        # after every write into it (all from smaller indices) is done, so
-        # cells that become nonzero during the pass are visited too
-        for i in compress(cells, q):
-            qi, room = q[i], packed[i] + bias
-            for j, pj, c in nilpotent:
-                if not (room + pj) & overflow:
-                    q[i + j] -= c * qi
-        return ChowClass._dense(self.ambient, q)
+        bias, overflow = self.ambient._bias, self.ambient._overflow
+        nilpotent = [(j, c) for j, c in other._cells.items() if j]
+        q = dict(self._cells)
+        order = sorted(q)
+        # a key that the pass fills is inserted into the sorted order when
+        # it first appears; it lies above the key being read, so the loop
+        # reaches it later and the cells filled during the pass are visited
+        for i in order:
+            qi = q[i]
+            if not qi:
+                continue
+            room = i + bias
+            for j, c in nilpotent:
+                if not (room + j) & overflow:
+                    if i + j in q:
+                        q[i + j] -= c * qi
+                    else:
+                        q[i + j] = -c * qi
+                        insort(order, i + j)
+        if 0 in q.values():
+            q = {key: c for key, c in q.items() if c}
+        return ChowClass._of(self.ambient, q)
 
     def __pow__(self, power: int) -> "ChowClass":
         if not isinstance(power, int) or power < 0:
@@ -345,13 +324,13 @@ class ChowClass:
             other = ChowClass.constant(self.ambient, other)
         elif not isinstance(other, ChowClass):
             return NotImplemented
-        return self.ambient == other.ambient and self._coeffs == other._coeffs
+        return self.ambient == other.ambient and self._cells == other._cells
 
     def __hash__(self) -> int:
-        return hash((self.ambient, tuple(self._coeffs)))
+        return hash((self.ambient, frozenset(self._cells.items())))
 
     def __bool__(self) -> bool:
-        return any(self._coeffs)
+        return bool(self._cells)
 
     # ------------------------------------------------------------------
     # graded structure
@@ -359,32 +338,32 @@ class ChowClass:
     @property
     def terms(self) -> Mapping[tuple[int, ...], int]:
         """Read-only map from exponent vectors to the nonzero coefficients."""
-        return MappingProxyType(
-            {e: c for e, c in zip(self.ambient.exponents(), self._coeffs) if c}
-        )
+        unpack, cells = self.ambient._unpack, self._cells
+        return MappingProxyType({unpack(key): cells[key] for key in sorted(cells)})
 
     def graded_part(self, p: int) -> "ChowClass":
         """The homogeneous piece of total degree p."""
-        degrees = self.ambient._layout().degrees
-        return ChowClass._dense(
-            self.ambient, [c if d == p else 0 for c, d in zip(self._coeffs, degrees)]
+        unpack = self.ambient._unpack
+        return ChowClass._of(
+            self.ambient, {key: c for key, c in self._cells.items() if sum(unpack(key)) == p}
         )
 
     def constant_term(self) -> int:
-        return self._coeffs[0]
+        return self._cells.get(0, 0)
 
     def coefficient(self, exp: Iterable[int]) -> int:
         return self.terms.get(tuple(exp), 0)
 
     def integrate(self) -> int:
         """Integral over the fundamental class: coefficient of the point class."""
-        return self._coeffs[-1]
+        return self._cells.get(self.ambient._point, 0)
 
     def pair(self, other: "ChowClass") -> int:
         """The intersection pairing: the integral of self * other.
 
-        Only complementary cells multiply to the point class, so this is
-        sum_i a[i] * b[N - 1 - i]; no product is built.
+        Only complementary monomials multiply to the point class, so this
+        sums a[key] * b[point - key] over the smaller of the two supports;
+        no product is built.
 
         Examples
         --------
@@ -396,7 +375,11 @@ class ChowClass:
         dual = self._coerce(other)
         if dual is NotImplemented:
             raise TypeError(f"cannot pair a ChowClass with {type(other).__name__}")
-        return sum(map(operator.mul, self._coeffs, reversed(dual._coeffs)))
+        small, large = self._cells, dual._cells
+        if len(small) > len(large):
+            small, large = large, small
+        point = self.ambient._point
+        return sum([c * large.get(point - key, 0) for key, c in small.items()])
 
     # ------------------------------------------------------------------
     # rendering
@@ -483,14 +466,14 @@ def tangent_chern(ambient: AmbientSpace) -> ChowClass:
     """Total Chern class of the tangent bundle, prod_i (1 + s_i)^{n_i+1}.
 
     Each factor expands by the Euler sequence on P^{n_i} and is truncated
-    at s_i^{n_i}; the factors touch disjoint variables, so the coefficient
-    list is the mixed-radix product of the rows C(n_i + 1, e).
+    at s_i^{n_i}; the factors touch disjoint variables, so every monomial
+    of the lattice appears, with the product of the C(n_i + 1, e_i).
     """
-    coeffs = [1]
-    for n in ambient.factors:
-        row = [comb(n + 1, e) for e in range(n + 1)]
-        coeffs = [c * r for c in coeffs for r in row]
-    return ChowClass._dense(ambient, coeffs)
+    cells = {0: 1}
+    for n, (shift, _) in zip(ambient.factors, ambient._fields):
+        row = [(e << shift, comb(n + 1, e)) for e in range(n + 1)]
+        cells = {key + step: c * r for key, c in cells.items() for step, r in row}
+    return ChowClass._of(ambient, cells)
 
 
 def binomial_poly(a: int, n: int) -> int:

@@ -19,6 +19,7 @@ e(X-hat) - e(X-tilde) = 2N on every call that builds a report.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .chow import AmbientSpace, ChowClass, MultiDegree, chern_of_sum
@@ -145,11 +146,12 @@ def split(
     columns, which sit where the old column was.  Inverse of
     :func:`contract` up to the layout conventions above.
     """
+    column, n = operator.index(column), operator.index(n)
     if not 0 <= column < cfg.m:
         raise ValueError(f"column {column} out of range")
     if n < 1:
         raise ValueError("the new factor needs dimension n >= 1")
-    parts = [tuple(int(x) for x in part) for part in parts]
+    parts = [tuple(map(operator.index, part)) for part in parts]
     if len(parts) != n + 1:
         raise ValueError(f"need n+1 = {n + 1} parts, got {len(parts)}")
     if any(len(part) != cfg.k for part in parts):

@@ -478,11 +478,26 @@ def chain_to_json(chain: TransitionChain) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _json_int(value) -> int:
+    """An integer field of a chain JSON; a boolean or a fraction is not one."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return operator.index(value)
+
+
+def _json_bool(value) -> bool:
+    """A boolean field of a chain JSON: JSON true or false, nothing else."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {json.dumps(value)}")
+    return value
+
+
 def chain_from_json(text: str) -> TransitionChain:
     """Rebuild a chain from its JSON form.
 
     Nothing is checked here beyond the format (an integer field holding a
-    non-integral value raises TypeError): :func:`verify_chain` on the
+    boolean or a non-integral value, or an ``ineffective`` that is not
+    ``true`` or ``false``, raises TypeError): :func:`verify_chain` on the
     result re-executes every step against the stored waypoints.
     """
     payload = json.loads(text)
@@ -494,26 +509,26 @@ def chain_from_json(text: str) -> TransitionChain:
         report = None
         if "odp_count" in entry:
             report = TransitionReport(
-                odp_count=operator.index(entry["odp_count"]),
-                euler_resolved=operator.index(entry["euler_before"]),
-                euler_smoothed=operator.index(entry["euler_after"]),
-                ineffective=bool(entry["ineffective"]),
+                odp_count=_json_int(entry["odp_count"]),
+                euler_resolved=_json_int(entry["euler_before"]),
+                euler_smoothed=_json_int(entry["euler_after"]),
+                ineffective=_json_bool(entry["ineffective"]),
             )
         if entry["kind"] == "split":
             step = ChainStep(
                 kind="split",
                 after_matrix=after_matrix,
-                column=operator.index(entry["column"]),
-                n=operator.index(entry["n"]),
-                parts=tuple(tuple(map(operator.index, part)) for part in entry["parts"]),
+                column=_json_int(entry["column"]),
+                n=_json_int(entry["n"]),
+                parts=tuple(tuple(map(_json_int, part)) for part in entry["parts"]),
                 report=report,
             )
         else:
             step = ChainStep(
                 kind="contract",
                 after_matrix=after_matrix,
-                row=operator.index(entry["row"]),
-                one_columns=tuple(map(operator.index, entry["one_columns"])),
+                row=_json_int(entry["row"]),
+                one_columns=tuple(map(_json_int, entry["one_columns"])),
                 report=report,
             )
         steps.append(step)

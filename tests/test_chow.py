@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cicyweb.chow import (
     AmbientSpace,
     ChowClass,
-    _lattice_for,
     binomial_poly,
     chern_of_sum,
     chi_line_bundle,
@@ -318,6 +317,7 @@ def test_mul_and_div_match_dict_product_seeded_sweep():
             b = ChowClass(ambient, random_terms(exps, 8))
             u = ChowClass(ambient, {**random_terms(exps, 5), (0,) * ambient.k: 1})
             assert a * b == _dict_product(a, b)
+            assert a.pair(b) == _dict_product(a, b).integrate()
             assert _dict_product(a / u, u) == a
             assert (a / u) * u == a
 
@@ -400,25 +400,54 @@ def test_rejects_non_integral_numbers():
 
 
 # ----------------------------------------------------------------------
-# shared layouts
+# storage by nonzero terms
 
 
-def test_layout_is_shared_per_factor_tuple():
-    a, b = AmbientSpace([3, 1]), AmbientSpace((3, 1))
-    lattice = a._layout()
-    assert b._layout() is lattice
-    assert AmbientSpace([1, 3])._layout() is not lattice
-    assert isinstance(lattice.degrees, tuple)
-    assert isinstance(lattice.packed, tuple)
+def _seeded_classes(rng: random.Random, ambient: AmbientSpace, count: int) -> list:
+    exps = list(ambient.exponents())
+    return [
+        ChowClass(ambient, {rng.choice(exps): rng.randint(-3, 3) for _ in range(6)})
+        for _ in range(count)
+    ]
 
 
-def test_layout_cache_clear_leaves_results_equal():
-    V = AmbientSpace([4, 1])
+def test_equal_classes_from_different_routes_are_hash_equal():
+    rng = random.Random(31)
+    for factors in ([4, 1, 3, 2], [1, 4], [2, 2, 2], [3]):
+        ambient = AmbientSpace(factors)
+        one = ChowClass.one(ambient)
+        for _ in range(20):
+            a, b = _seeded_classes(rng, ambient, 2)
+            u = one + b - b.constant_term()
+            for other in (
+                (a / u) * u,
+                a * u / u,
+                ChowClass(ambient, dict(reversed(a.terms.items()))),
+                (a + b) - b,
+            ):
+                assert other == a
+                assert hash(other) == hash(a)
+        s = ChowClass.hyperplane(ambient, 0)
+        assert hash(s - s) == hash(ChowClass.zero(ambient))
 
-    def compute():
-        c = chern_of_sum(V, [(4, 1), (1, 1)])
-        return tangent_chern(V) / c, (c * c).graded_part(3), str(segre_inverse(c))
 
-    first = compute()
-    _lattice_for.cache_clear()
-    assert compute() == first
+def test_terms_hold_no_zero_and_iterate_in_lexicographic_order():
+    rng = random.Random(12)
+    for factors in ([4, 1, 3, 2], [1, 4], [2, 2, 2], [3], [1, 1, 1, 1]):
+        ambient = AmbientSpace(factors)
+        one = ChowClass.one(ambient)
+        for _ in range(20):
+            a, b = _seeded_classes(rng, ambient, 2)
+            # half of a's terms negated into b, so that the sum cancels them
+            b = b + ChowClass(ambient, {e: -c for e, c in list(a.terms.items())[::2]})
+            u = one + b - b.constant_term()
+            results = (
+                a, a + b, a - a, -a, a * b, a / u, a * u, u ** 3,
+                a.graded_part(2), tangent_chern(ambient) - one, segre_inverse(u),
+            )
+            for c in results:
+                exps = list(c.terms)
+                assert exps == sorted(exps)
+                assert 0 not in c.terms.values()
+        s = ChowClass.hyperplane(ambient, 0)
+        assert (1 + s) * (1 - s) == 1 - s ** 2  # the s terms cancel

@@ -137,6 +137,16 @@ def test_split_rejects_bad_parts():
         split(DOUBLE_SOLID_RESOLVED, 0, 1, [(4,), (0, 2)])  # ragged part
 
 
+def test_split_rejects_non_integral_numbers():
+    # int() truncation read 3.5 + 2.5 = 6 as the parts 3 and 2 of the column 5
+    with pytest.raises(TypeError):
+        split(QUINTIC, 0, 1, [(3.5,), (2.5,)])
+    with pytest.raises(TypeError):
+        split(QUINTIC, 0.0, 1, [(4,), (1,)])
+    with pytest.raises(TypeError):
+        split(QUINTIC, 0, 1.0, [(4,), (1,)])
+
+
 def test_split_allows_zero_parts():
     out = split(QUINTIC, 0, 1, [(5,), (0,)])
     assert out == ConfigurationMatrix([4, 1], [[5, 0], [1, 1]])

@@ -360,6 +360,47 @@ def test_chain_json_rejects_non_integral_fields(kind, field):
         chain_from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("split", "column"),
+        ("split", "n"),
+        ("split", "parts"),
+        ("contract", "row"),
+        ("contract", "one_columns"),
+        ("contract", "odp_count"),
+        ("contract", "euler_before"),
+        ("contract", "euler_after"),
+    ],
+)
+def test_chain_json_rejects_booleans_in_integer_fields(kind, field):
+    # operator.index(True) is 1, so a JSON true would pass for the integer 1
+    chain = connect_to_c1111(QUINTIC)
+    payload = json.loads(chain_to_json(chain))
+    entry = next(entry for entry in payload["steps"] if entry["kind"] == kind)
+    if field == "parts":
+        entry["parts"][0][0] = True
+    elif field == "one_columns":
+        entry["one_columns"][0] = True
+    else:
+        entry[field] = True
+    with pytest.raises(TypeError):
+        chain_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_chain_json_ineffective_must_be_a_json_boolean(value):
+    # bool("false") is True: the step would load with the wrong report
+    chain = connect_to_c1111(QUINTIC)
+    payload = json.loads(chain_to_json(chain))
+    entry = next(entry for entry in payload["steps"] if "ineffective" in entry)
+    entry["ineffective"] = value
+    with pytest.raises(TypeError):
+        chain_from_json(json.dumps(payload))
+    entry["ineffective"] = False
+    assert verify_chain(chain_from_json(json.dumps(payload))).ok
+
+
 def test_chain_json_detects_report_on_split_step():
     import json as jsonlib
 
