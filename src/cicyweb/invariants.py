@@ -31,8 +31,10 @@ from .chow import (
     MultiDegree,
     chern_of_sum,
     chi_line_bundle,
+    divide_by_units,
     segre_inverse,
     tangent_chern,
+    tangent_pairing,
 )
 from .configuration import ConfigurationMatrix, is_block_diagonal, is_cicy
 
@@ -60,20 +62,23 @@ def _euler_from_columns(
     """The integral of c_m(E) * c(TV) / c(E), with E = sum_j L_j.
 
     The order of the ring operations is chosen for cost; the ring is
-    commutative, so the integral is the Gauss-Bonnet one.  c_m(E) is the
-    product of the m first Chern classes c_1(L_j), a class of degree m, so
-    it is built first: its support is the small set of degree-m cells.
-    Dividing it by each unit 1 + c_1(L_j) is then a forward pass that only
-    touches cells of degree >= m.  Of c(TV) only the part of complementary
-    degree reaches the point class, so the pass ends in the pairing with
-    c(TV) instead of a full product.  The reference route
+    commutative, so the integral is the Gauss-Bonnet one.  Each column's
+    class c_1(L_j) is built once.  Their product c_m(E) is a class of
+    degree m, so it is built first: its support is the small set of
+    degree-m cells.  Dividing it by the m units 1 + c_1(L_j) is then one
+    forward pass per unit over a single dict (:func:`divide_by_units`),
+    touching only cells of degree >= m.  Of c(TV) only the cells
+    complementary to the quotient's support reach the point class, so the
+    pass ends in :func:`tangent_pairing`, which reads those coefficients
+    without building c(TV).  The reference route
     (:func:`euler_number_by_definition`) multiplies whole Segre classes.
     """
     ambient = AmbientSpace(factors)
-    top = _column_product(ambient, columns)
-    for col in columns:
-        top = top / (1 + ChowClass.linear_form(ambient, col))
-    return top.pair(tangent_chern(ambient))
+    forms = [ChowClass.linear_form(ambient, col) for col in columns]
+    top = ChowClass.one(ambient)
+    for form in forms:
+        top = top * form
+    return tangent_pairing(divide_by_units(top, forms))
 
 
 def _column_product(ambient: AmbientSpace, columns: Iterable[MultiDegree]) -> ChowClass:
@@ -89,6 +94,21 @@ def _euler_cached(factors: tuple[int, ...], columns: tuple[MultiDegree, ...]) ->
     return _euler_from_columns(factors, columns)
 
 
+def _euler_key(cfg: ConfigurationMatrix) -> tuple[tuple[int, ...], tuple[MultiDegree, ...]]:
+    """The arguments of :func:`_euler_cached` for a configuration.
+
+    The rows are sorted together with their factors, then the columns are
+    sorted.  The result is a permutation of the matrix, so it has the same
+    Euler number, and matrices that differ by a permutation of the rows
+    share one key.  It is not a canonical form: a permutation of the
+    columns can reorder rows with equal factors, and the copy then takes a
+    pass of its own.
+    """
+    rows = sorted(zip(cfg.factors, cfg.rows))
+    factors = tuple([n for n, _ in rows])
+    return factors, tuple(sorted(zip(*[row for _, row in rows])))
+
+
 def euler_number(cfg: ConfigurationMatrix) -> int:
     """Topological Euler number of a general smooth member.
 
@@ -102,8 +122,8 @@ def euler_number(cfg: ConfigurationMatrix) -> int:
     >>> euler_number(ConfigurationMatrix([4], [[5]]))
     -200
     """
-    # Sorting the columns makes the cache hit on column-permuted variants.
-    return _euler_cached(cfg.factors, tuple(sorted(cfg.columns())))
+    # Row-permuted variants share one pass; see _euler_key.
+    return _euler_cached(*_euler_key(cfg))
 
 
 def euler_number_by_definition(cfg: ConfigurationMatrix) -> int:
@@ -383,9 +403,8 @@ def _hilbert_by_intersection(
     returned coefficients together.  A fault in mu itself passes both; the
     tests compare this route with the Koszul sum for that.
     """
-    columns = tuple(sorted(cfg.columns()))
-    three_e, two_c2j, jjj = _cy3_numbers(cfg.factors, columns, polarization)
-    e = _euler_cached(cfg.factors, columns)
+    three_e, two_c2j, jjj = _cy3_numbers(cfg.factors, tuple(cfg.columns()), polarization)
+    e = _euler_cached(*_euler_key(cfg))
     if three_e != 3 * e or (4 * jjj + two_c2j) % 24:
         raise InternalConsistencyError(
             f"intersection numbers give 3e = {three_e}, 2 c2.J = {two_c2j} and "

@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .chow import AmbientSpace, ChowClass, MultiDegree, chern_of_sum
+from .chow import AmbientSpace, ChowClass, MultiDegree
 from .configuration import ConfigurationMatrix
 from .invariants import InternalConsistencyError, euler_number
 
@@ -177,6 +177,24 @@ def split(
     return ConfigurationMatrix(factors, rows)
 
 
+def _low_chern_classes(
+    ambient: AmbientSpace, bundles: list[MultiDegree]
+) -> tuple[ChowClass, ChowClass, ChowClass]:
+    """c1, c2 and c3 of a direct sum of line bundles.
+
+    Adding a summand of first Chern class D multiplies the total Chern
+    class by 1 + D, so c3 gains c2 * D, c2 gains c1 * D and c1 gains D;
+    no class of degree above 3 is built.
+    """
+    c1 = c2 = c3 = ChowClass.zero(ambient)
+    for d in bundles:
+        form = ChowClass.linear_form(ambient, d)
+        c3 = c3 + c2 * form
+        c2 = c2 + c1 * form
+        c1 = c1 + form
+    return c1, c2, c3
+
+
 def odp_count(site: ContractionSite) -> int:
     """Number of ordinary double points of the contracted member.
 
@@ -187,10 +205,7 @@ def odp_count(site: ContractionSite) -> int:
     signals a bad site).
     """
     P = site.reduced_ambient
-    e_total = chern_of_sum(P, site.collapsing_bundles)
-    c1 = e_total.graded_part(1)
-    c2 = e_total.graded_part(2)
-    c3 = e_total.graded_part(3)
+    c1, c2, c3 = _low_chern_classes(P, site.collapsing_bundles)
     f_top = ChowClass.one(P)
     for d in site.residual_bundles:
         f_top = f_top * ChowClass.linear_form(P, d)

@@ -12,8 +12,10 @@ from cicyweb.chow import (
     binomial_poly,
     chern_of_sum,
     chi_line_bundle,
+    divide_by_units,
     segre_inverse,
     tangent_chern,
+    tangent_pairing,
 )
 
 P4 = AmbientSpace([4])
@@ -451,3 +453,89 @@ def test_terms_hold_no_zero_and_iterate_in_lexicographic_order():
                 assert 0 not in c.terms.values()
         s = ChowClass.hyperplane(ambient, 0)
         assert (1 + s) * (1 - s) == 1 - s ** 2  # the s terms cancel
+
+
+def test_coefficient_validates_the_exponent_like_the_constructor():
+    c = ChowClass(P3xP1, {(1, 0): 2, (3, 1): -7})
+    assert c.coefficient((1, 0)) == 2
+    assert c.coefficient([3, 1]) == -7
+    assert c.coefficient((2, 1)) == 0
+    # in range for the ambient's length but truncated away: 0, as the
+    # constructor drops such a monomial
+    assert c.coefficient((4, 0)) == 0
+    assert c.coefficient((0, 2)) == 0
+    for bad in ((1,), (1, 0, 0), (-1, 0), (0, -2)):
+        with pytest.raises(ValueError):
+            ChowClass(P3xP1, {bad: 1})
+        with pytest.raises(ValueError):
+            c.coefficient(bad)
+    with pytest.raises(TypeError):
+        c.coefficient((1.0, 0))
+
+
+# ----------------------------------------------------------------------
+# one-pass division by several units, and the pairing with c(TV)
+
+
+def _seeded_ambients(rng: random.Random) -> list:
+    # n_i = 4 gives a 3-bit field with bias 3, n_i = 3 a full 2-bit field
+    ambients = [AmbientSpace([4, 1, 3, 2]), AmbientSpace([4, 4]), AmbientSpace([1, 4, 2]), P4]
+    for _ in range(12):
+        ambients.append(AmbientSpace([rng.randint(1, 4) for _ in range(rng.randint(1, 4))]))
+    return ambients
+
+
+def test_divide_by_units_matches_chained_division_and_segre_inverse():
+    rng = random.Random(23)
+    for ambient in _seeded_ambients(rng):
+        exps = list(ambient.exponents())
+        one = ChowClass.one(ambient)
+        for _ in range(6):
+            a = ChowClass(ambient, {rng.choice(exps): rng.randint(-9, 9) for _ in range(6)})
+            nilpotents = [
+                ChowClass(ambient, {rng.choice(exps[1:]): rng.randint(-4, 4) for _ in range(3)})
+                for _ in range(rng.randint(1, 4))
+            ]
+            if rng.random() < 0.5:
+                nilpotents.append(-nilpotents[0])  # (1 + N)(1 - N) = 1 - N^2
+            chained = a
+            unit_product = one
+            for n in nilpotents:
+                chained = chained / (1 + n)
+                unit_product = unit_product * (1 + n)
+            q = divide_by_units(a, nilpotents)
+            assert q == chained
+            assert q == a * segre_inverse(unit_product)
+            assert 0 not in q.terms.values()
+            # forced cancellation: the numerator is a multiple of every
+            # unit, so most cells the pass fills must cancel back to zero
+            assert divide_by_units(a * unit_product, nilpotents) == a
+        assert divide_by_units(one, []) == one
+
+
+def test_divide_by_units_rejects_a_constant_term():
+    s = ChowClass.hyperplane(P3xP1, 0)
+    with pytest.raises(ValueError):
+        divide_by_units(ChowClass.one(P3xP1), [s, 1 + s])
+    with pytest.raises(ValueError):
+        divide_by_units(ChowClass.one(P3xP1), [ChowClass.hyperplane(P4, 0)])
+    with pytest.raises(TypeError):
+        divide_by_units(ChowClass.one(P3xP1), [0.5])
+
+
+def test_tangent_pairing_matches_pair_with_tangent_chern():
+    rng = random.Random(29)
+    for ambient in _seeded_ambients(rng):
+        exps = list(ambient.exponents())
+        tangent = tangent_chern(ambient)
+        one = ChowClass.one(ambient)
+        # e(V) = prod_i (n_i + 1)
+        euler = 1
+        for n in ambient.factors:
+            euler *= n + 1
+        assert tangent_pairing(one) == euler
+        for _ in range(8):
+            a = ChowClass(ambient, {rng.choice(exps): rng.randint(-9, 9) for _ in range(8)})
+            b = a + ChowClass(ambient, {e: -c for e, c in list(a.terms.items())[::2]})
+            for c in (a, b, a - a, a * a):
+                assert tangent_pairing(c) == c.pair(tangent)

@@ -98,6 +98,28 @@ def test_euler_permutation_invariance():
             assert euler_number(_shuffled(cfg, rng)) == e
 
 
+def test_euler_key_shares_one_pass_across_row_permutations():
+    rng = random.Random(13)
+    for s in range(30):
+        cfg = random_cicy(s, 7, 9)
+        invariants._euler_cached.cache_clear()
+        e = euler_number(cfg)
+        for _ in range(5):
+            order = list(range(cfg.k))
+            rng.shuffle(order)
+            copy = ConfigurationMatrix(
+                [cfg.factors[i] for i in order], [cfg.rows[i] for i in order]
+            )
+            assert euler_number(copy) == e
+            hilbert_polynomial(copy, [i + 1 for i in range(cfg.k)])  # its Euler check hits
+        assert invariants._euler_cached.cache_info().currsize == 1
+        # the key is not a canonical form: a copy with its columns shuffled
+        # too may take a pass of its own, but it has the same number
+        for _ in range(3):
+            assert euler_number(_shuffled(cfg, rng)) == e
+    invariants._euler_cached.cache_clear()
+
+
 def test_euler_multiplies_over_blocks():
     k3_pair = ConfigurationMatrix([3, 3], [[4, 0], [0, 4]])
     assert euler_number(k3_pair) == 24 * 24 == 576

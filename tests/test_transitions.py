@@ -12,11 +12,13 @@ from cicyweb.catalog import (
     SCHOEN_CONTRACTED,
     SCHOEN_RESOLVED,
 )
+from cicyweb.chow import AmbientSpace, chern_of_sum
 from cicyweb.configuration import C1111, ConfigurationMatrix, equivalent, is_block_diagonal, is_cicy
 from cicyweb.invariants import euler_number
 from cicyweb.transitions import (
     ContractionSite,
     InternalConsistencyError,
+    _low_chern_classes,
     analyze,
     contract,
     find_contraction_sites,
@@ -237,6 +239,31 @@ def test_odp_count_pinned():
     assert odp_count(site) == 28
     (site,) = find_contraction_sites(SCHOEN_RESOLVED)
     assert odp_count(site) == 81
+
+
+def test_low_chern_classes_match_chern_of_sum_graded_parts():
+    def check(ambient, bundles):
+        total = chern_of_sum(ambient, bundles)
+        expected = tuple(total.graded_part(r) for r in (1, 2, 3))
+        assert _low_chern_classes(ambient, bundles) == expected
+
+    for s in range(40):
+        for site in find_contraction_sites(random_cicy(s, 7, 9)):
+            check(site.reduced_ambient, site.collapsing_bundles)
+    rng = random.Random(17)
+    for factors in ([4, 1, 3], [4, 4], [2, 4, 1, 1], [3]):
+        ambient = AmbientSpace(factors)
+        check(ambient, [])
+        for _ in range(10):
+            bundles = [
+                tuple(rng.randint(-2, 3) for _ in factors) for _ in range(rng.randint(1, 5))
+            ]
+            check(ambient, bundles)
+            # beside its dual a bundle gives (1 + D)(1 - D) = 1 - D^2: the
+            # c1 and c3 terms cancel
+            dual = tuple(-d for d in bundles[-1])
+            check(ambient, [bundles[-1], dual])
+            check(ambient, bundles + [dual])
 
 
 def test_euler_difference_pinned():
