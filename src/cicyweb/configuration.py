@@ -251,27 +251,24 @@ def is_cicy(cfg: ConfigurationMatrix) -> bool:
     return all(sum(row) == n + 1 for n, row in zip(cfg.factors, cfg.rows))
 
 
-def _has_forbidden_block(cfg: ConfigurationMatrix) -> bool:
-    """Detect a [1 || 2] direct factor: a P^1 row alone with a single 2-column."""
-    for comp_rows, comp_cols in _components(cfg):
-        if len(comp_rows) == 1 and len(comp_cols) == 1:
-            (i,) = comp_rows
-            (j,) = comp_cols
-            if cfg.factors[i] == 1 and cfg.rows[i][j] == 2:
-                return True
-    return False
-
-
 def validate(cfg: ConfigurationMatrix) -> ValidationReport:
     """Report validity flags; never normalizes or mutates."""
     col_sums = [sum(cfg.rows[i][j] for i in range(cfg.k)) for j in range(cfg.m)]
+    components = _components(cfg)
     return ValidationReport(
         dimension=cfg.dimension,
         entries_nonnegative=all(q >= 0 for row in cfg.rows for q in row),
         column_sums_ok=all(s >= 2 for s in col_sums),
         cy_condition=all(sum(row) == n + 1 for n, row in zip(cfg.factors, cfg.rows)),
-        block_diagonal=is_block_diagonal(cfg),
-        has_forbidden_block=_has_forbidden_block(cfg),
+        block_diagonal=len(components) > 1,
+        # a [1 || 2] direct factor: a P^1 row alone with a single 2-column
+        has_forbidden_block=any(
+            cfg.factors[i] == 1 and cfg.rows[i][j] == 2
+            for comp_rows, comp_cols in components
+            if len(comp_rows) == len(comp_cols) == 1
+            for i in comp_rows
+            for j in comp_cols
+        ),
         is_cicy=is_cicy(cfg),
     )
 

@@ -21,9 +21,12 @@ waypoint before it and the step stores the literal waypoint after it.  No
 canonical keys are recorded: the continuity check is that applying a
 step's parameters lands on its stored waypoint up to row/column
 permutation, which is what lets reversed chains re-anchor on their own
-waypoints.  ``verify_chain`` re-executes everything and certifies each
-contraction (for split steps, the reverse contraction) by the exact
-bookkeeping e(resolved) - e(smoothed) = 2 * ODP count.
+waypoints.  Matrices are compared entry for entry first; canonical keys
+are computed only when two layouts differ, which on forward chains and
+their JSON reloads never happens.  ``verify_chain`` re-executes
+everything and certifies each contraction (for split steps, the reverse
+contraction) by the exact bookkeeping e(resolved) - e(smoothed) = 2 *
+ODP count.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from typing import Optional
 from .chow import MultiDegree
 from .configuration import (
     C1111,
-    C1111_KEY,
     ConfigurationMatrix,
     canonical_key,
     is_block_diagonal,
@@ -66,9 +68,9 @@ class ChainStep:
     one_columns), both against the waypoint before this step.
     ``after_matrix`` is the literal waypoint the chain continues from;
     applying the parameters must land on it up to row/column permutation
-    (equal canonical keys, checked by :func:`verify_chain`; none is
-    stored).  A contract step is legal only at a site that
-    :func:`find_contraction_sites` lists.  ``report`` carries the
+    (checked by :func:`verify_chain`, by equality first and by canonical
+    keys only when the layouts differ; no key is stored).  A contract step
+    is legal only at a site that :func:`find_contraction_sites` lists.  ``report`` carries the
     transition bookkeeping for contract steps; split steps leave it None
     (their numbers belong to the reverse contraction and are recomputed
     during verification).
@@ -140,22 +142,19 @@ CHAIN_ASSUMPTIONS = (
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Outcome of re-executing a chain with all certifications."""
+    """Outcome of re-executing a chain: failed checks and per-step numbers."""
 
     ok: bool
     failures: tuple[str, ...]
     checks: tuple[StepCheck, ...]
-    start_key: bytes
-    end_key: bytes
 
 
 def _web_state_problems(cfg: ConfigurationMatrix, where: str) -> list[str]:
-    """Validity + CICY + non-block-diagonality flags, as failure strings."""
+    """CICY + non-block-diagonality flags, as failure strings."""
     problems = []
-    report = validate(cfg)
-    if not report.is_cicy:
+    if not is_cicy(cfg):
         problems.append(f"{where}: not a CICY 3-fold configuration")
-    if report.block_diagonal:
+    if is_block_diagonal(cfg):
         problems.append(f"{where}: block-diagonal configuration")
     return problems
 
@@ -278,7 +277,8 @@ def connect_to_c1111(cfg: ConfigurationMatrix) -> TransitionChain:
         )
         current = nxt
 
-    if canonical_key(current) != C1111_KEY:
+    # the hub has a single layout (four identical rows), so equality is exact
+    if current != C1111:
         raise InternalConsistencyError(
             f"web algorithm ended away from the hub:\n{current.render()}"
         )
@@ -289,21 +289,22 @@ def verify_chain(chain: TransitionChain) -> ChainReport:
     """Re-execute a chain, certifying every step.
 
     Checks, per step: the operation is legal on the waypoint before it;
-    the result's canonical key matches that of the stored waypoint (the
-    continuity check: the next step applies to that waypoint); every
-    waypoint is a valid non-block-diagonal CICY configuration; and the
-    contraction bookkeeping
-    e(resolved) - e(smoothed) = 2 * ODP count holds exactly (for split
-    steps, via the reverse contraction at the appended row of the result,
-    and a split step must carry no stored report).  Failures carry their
-    step index; the transition numbers of the steps that did verify are
-    reported either way.
+    the result equals the stored waypoint up to row/column permutation
+    (the continuity check: the next step applies to that waypoint); every
+    waypoint is a non-block-diagonal CICY configuration; and the
+    contraction bookkeeping e(resolved) - e(smoothed) = 2 * ODP count
+    holds exactly (for split steps, via the reverse contraction at the
+    appended row of the result, and a split step must carry no stored
+    report).  The last waypoint must equal the recorded end up to
+    permutation.  Equal matrices have equal canonical keys, so keys are
+    computed only when layouts differ.  Failures carry their step index;
+    the transition numbers of the steps that did verify are reported
+    either way.
     """
     failures: list[str] = []
     checks: list[StepCheck] = []
     current = chain.start
     failures.extend(_web_state_problems(current, "start"))
-    start_key = canonical_key(current)
 
     for index, step in enumerate(chain.steps):
         try:
@@ -311,8 +312,8 @@ def verify_chain(chain: TransitionChain) -> ChainReport:
         except ValueError as err:
             failures.append(f"step {index}: illegal {step.kind}: {err}")
             break
-        # equal matrices have equal keys, so the keys are only needed when
-        # the stored waypoint is a different layout (reversed splits)
+        # keys are only needed when the stored waypoint is a different
+        # layout (reversed splits)
         if produced != step.after_matrix and (
             canonical_key(step.after_matrix) != canonical_key(produced)
         ):
@@ -354,16 +355,9 @@ def verify_chain(chain: TransitionChain) -> ChainReport:
         )
         current = step.after_matrix
 
-    end_key = canonical_key(current)
-    if end_key != canonical_key(chain.end):
+    if current != chain.end and canonical_key(current) != canonical_key(chain.end):
         failures.append("end matrix does not match the chain's recorded end")
-    return ChainReport(
-        ok=not failures,
-        failures=tuple(failures),
-        checks=tuple(checks),
-        start_key=start_key,
-        end_key=end_key,
-    )
+    return ChainReport(ok=not failures, failures=tuple(failures), checks=tuple(checks))
 
 
 def reverse_chain(chain: TransitionChain) -> TransitionChain:
@@ -431,10 +425,10 @@ def connect_pair(a: ConfigurationMatrix, b: ConfigurationMatrix) -> TransitionCh
     """A verified-style connection from a to b through the hub C1111."""
     forward = connect_to_c1111(a)
     backward = reverse_chain(connect_to_c1111(b))
-    if canonical_key(forward.end) != canonical_key(backward.start):
+    # both chains end at the hub, whose layout is unique (identical
+    # [1 || 2] rows), so the backward start re-anchors on the forward end
+    if forward.end != backward.start:
         raise InternalConsistencyError("both chains must end at the hub")  # pragma: no cover
-    # re-anchor the backward start on the forward end (both are the hub,
-    # and the hub's layout is unique: identical [1 || 2] rows)
     return TransitionChain(
         start=forward.start,
         steps=forward.steps + backward.steps,
@@ -497,14 +491,17 @@ def chain_from_json(text: str) -> TransitionChain:
 
     Nothing is checked here beyond the format (an integer field holding a
     boolean or a non-integral value, or an ``ineffective`` that is not
-    ``true`` or ``false``, raises TypeError): :func:`verify_chain` on the
-    result re-executes every step against the stored waypoints.
+    ``true`` or ``false``, raises TypeError; a step ``kind`` other than
+    ``"split"`` or ``"contract"`` raises ValueError): :func:`verify_chain`
+    on the result re-executes every step against the stored waypoints.
     """
     payload = json.loads(text)
     start = parse_matrix("\n".join(payload["start"]))
     end = parse_matrix("\n".join(payload["end"]))
     steps = []
     for entry in payload["steps"]:
+        if entry["kind"] not in ("split", "contract"):
+            raise ValueError(f"unknown step kind {entry['kind']!r}")
         after_matrix = parse_matrix("\n".join(entry["matrix"]))
         report = None
         if "odp_count" in entry:

@@ -69,8 +69,8 @@ def _shuffled(cfg: ConfigurationMatrix, rng: random.Random) -> ConfigurationMatr
 
 @pytest.fixture(scope="module")
 def web_sweep():
-    """Verified chains for the named corpus plus 200 generated CICYs."""
-    reports = []
+    """(chain, report) pairs for the named corpus plus 200 generated CICYs."""
+    pairs = []
     for cfg in (
         QUINTIC,
         DOUBLE_SOLID_RESOLVED,
@@ -79,12 +79,12 @@ def web_sweep():
         SCHOEN_RESOLVED,
     ):
         chain = connect_to_c1111(cfg)
-        reports.append(verify_chain(chain))
+        pairs.append((chain, verify_chain(chain)))
     for seed in range(200):
         cfg = random_cicy(seed, max_rows=7, max_cols=9)
         chain = connect_to_c1111(cfg)
-        reports.append(verify_chain(chain))
-    return reports
+        pairs.append((chain, verify_chain(chain)))
+    return pairs
 
 
 def test_acceptance_1_quintic_contraction():
@@ -136,8 +136,8 @@ def test_acceptance_4_second_betti_recursion():
 
 
 def test_acceptance_5_web_connectivity(web_sweep):
-    all_verified = all(report.ok for report in web_sweep)
-    all_reach_hub = all(report.end_key == C1111_KEY for report in web_sweep)
+    all_verified = all(report.ok for _, report in web_sweep)
+    all_reach_hub = all(canonical_key(chain.end) == C1111_KEY for chain, _ in web_sweep)
     stored = verify_chain(quintic_chain())
     first = stored.checks[0]
     stored_ok = stored.ok and first.site_row + 1 == 2 and first.odp_count == 16
@@ -157,7 +157,7 @@ def test_acceptance_6_conifold_certification(web_sweep):
             sites_seen += 1
             if report.euler_resolved - report.euler_smoothed != 2 * report.odp_count:
                 disagreements += 1
-    for chain_report in web_sweep:
+    for _, chain_report in web_sweep:
         for check in chain_report.checks:
             sites_seen += 1
             if check.euler_resolved - check.euler_smoothed != 2 * check.odp_count:

@@ -181,6 +181,18 @@ def test_validate_flags_forbidden_block():
     assert not validate(QUINTIC).has_forbidden_block
 
 
+def test_validate_searches_components_once(monkeypatch):
+    import cicyweb.configuration as configuration
+
+    calls = []
+    search = configuration._components
+    monkeypatch.setattr(configuration, "_components", lambda cfg: calls.append(cfg) or search(cfg))
+    cfg = ConfigurationMatrix([1, 4], [[2, 0], [0, 5]])
+    report = validate(cfg)
+    assert report.block_diagonal and report.has_forbidden_block
+    assert calls == [cfg]
+
+
 def test_is_cicy_examples():
     assert is_cicy(QUINTIC)
     assert is_cicy(QUINTIC_SPLIT)

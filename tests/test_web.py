@@ -221,6 +221,40 @@ def test_verify_flags_wrong_end():
     assert any("end matrix" in failure for failure in report.failures)
 
 
+def test_verify_accepts_a_permuted_end(monkeypatch):
+    # the end check falls back to canonical keys when the recorded end is
+    # another layout of the last waypoint
+    import cicyweb.web as web
+
+    back = reverse_chain(connect_to_c1111(MIXED_CONTRACTION_EXAMPLE))
+    rng = random.Random(7)
+    end = _shuffled(back.end, rng)
+    while end == back.end:
+        end = _shuffled(back.end, rng)
+    calls = []
+    monkeypatch.setattr(web, "canonical_key", lambda cfg: calls.append(cfg) or canonical_key(cfg))
+    report = verify_chain(TransitionChain(back.start, back.steps, end))
+    assert report.ok, report.failures
+    assert end in calls
+
+
+def test_forward_chains_compute_no_canonical_key(monkeypatch):
+    # every forward waypoint is the literal step result and the hub has one
+    # layout, so connecting and verifying never needs a key, nor does the
+    # JSON reload
+    import cicyweb.web as web
+
+    calls = []
+    monkeypatch.setattr(web, "canonical_key", lambda cfg: calls.append(cfg) or canonical_key(cfg))
+    corpus = WEB_CORPUS + tuple(random_cicy(seed, 7, 9) for seed in range(20))
+    for cfg in corpus:
+        chain = connect_to_c1111(cfg)
+        reloaded = chain_from_json(chain_to_json(chain))
+        assert verify_chain(chain).ok
+        assert verify_chain(reloaded).ok
+    assert calls == []
+
+
 # ----------------------------------------------------------------------
 # reversal and pairing
 
@@ -399,6 +433,17 @@ def test_chain_json_ineffective_must_be_a_json_boolean(value):
         chain_from_json(json.dumps(payload))
     entry["ineffective"] = False
     assert verify_chain(chain_from_json(json.dumps(payload))).ok
+
+
+@pytest.mark.parametrize("step_kind, bad_kind", [("contract", "bogus"), ("split", "Split")])
+def test_chain_json_rejects_unknown_step_kinds(step_kind, bad_kind):
+    # an unknown kind must not load as a contract step and verify
+    chain = connect_to_c1111(QUINTIC)
+    payload = json.loads(chain_to_json(chain))
+    entry = next(entry for entry in payload["steps"] if entry["kind"] == step_kind)
+    entry["kind"] = bad_kind
+    with pytest.raises(ValueError, match=f"unknown step kind '{bad_kind}'"):
+        chain_from_json(json.dumps(payload))
 
 
 def test_chain_json_detects_report_on_split_step():
