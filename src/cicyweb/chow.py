@@ -27,14 +27,15 @@ The operations are +, -, * and ** (truncating), / by a unit (a class with
 constant term 1) or by several units in one pass, graded parts,
 integration and the intersection pairing ``a.pair(b)``, the integral of
 a * b without the product; ``tangent_pairing(a)``, the integral of
-a * c(TV), reads c(TV) off the exponents without building it.
+a * c(TV), reads c(TV) off the exponents without building it, and
+``cubic_power_sum`` writes the cubes of linear classes straight into cells.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import insort
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -426,6 +427,32 @@ def chern_of_sum(ambient: AmbientSpace, bundles: Iterable[Iterable[int]]) -> Cho
     for d in bundles:
         total = total * (ChowClass.one(ambient) + ChowClass.linear_form(ambient, d))
     return total
+
+
+def cubic_power_sum(ambient: AmbientSpace, bundles: Iterable[Iterable[int]]) -> ChowClass:
+    """p3 of TV - E for E = sum_j O(d_j): the sum of the cubes of its Chern roots.
+
+    The roots of TV are the s_i, n_i + 1 times each (Euler sequence), and
+    those of E the column classes D_j = c_1(O(d_j)), so
+    p3 = sum_i (n_i + 1) s_i^3 - sum_j D_j^3.  Each cube is expanded by the
+    multinomial theorem straight into cells, the term d_a d_b d_c s_a s_b s_c
+    of a <= b <= c taking 3! over the factorials of its repeated indices,
+    so no product of classes is formed.  An exponent of at most 3 fits its
+    bit field, so the sum of three unit keys carries into no other field
+    and the overflow test of ``*`` drops the monomials past s_i^{n_i}.
+    """
+    units = [1 << shift for shift, _ in ambient._fields]
+    bias, overflow = ambient._bias, ambient._overflow
+    cells = {3 * unit: n + 1 for unit, n in zip(units, ambient.factors) if n >= 3}
+    for d in bundles:
+        terms = [(unit, c) for unit, c in zip(units, ambient.check_degree(d)) if c]
+        for (a, x), (b, y), (c, z) in combinations_with_replacement(terms, 3):
+            key = a + b + c
+            if (key + bias) & overflow:
+                continue
+            weight = 1 if a == c else 3 if a == b or b == c else 6
+            cells[key] = cells.get(key, 0) - weight * x * y * z
+    return ChowClass._of(ambient, {key: c for key, c in cells.items() if c})
 
 
 def divide_by_units(a: ChowClass, nilpotents: Iterable[ChowClass]) -> ChowClass:

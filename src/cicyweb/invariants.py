@@ -3,14 +3,17 @@
 Everything here is exact integer/rational arithmetic in the Chow ring of
 the ambient product of projective spaces:
 
-* Euler numbers via Gauss-Bonnet (tangent Chern class times the Segre
-  inverse of the defining bundle, capped with its top Chern class);
+* Euler numbers via Gauss-Bonnet: for a CICY 3-fold, where c1 = 0, one
+  pairing of the top Chern class of the defining bundle with the cubic
+  power sum of the Chern roots (3 c3 = p3); for every other member the
+  division pass (tangent Chern class over the total Chern class of the
+  defining bundle, capped with its top Chern class);
 * second Betti numbers via the alternating-sum recursion coming from the
   Lefschetz-type exact sequence for the ample divisor sum;
 * Hodge pairs (h11, h21) for Calabi-Yau 3-fold members;
 * Hilbert polynomials: for a CICY 3-fold from its triple intersection
   numbers (Hirzebruch-Riemann-Roch with c1 = 0), checked against the
-  Chern-class Euler number and the integrality of chi(O_X(J)); for any
+  division pass's Euler number and the integrality of chi(O_X(J)); for any
   other member from the Koszul resolution;
 * complete-intersection point counts and branched double-cover Euler
   numbers for the composite double-solid bookkeeping.
@@ -31,6 +34,7 @@ from .chow import (
     MultiDegree,
     chern_of_sum,
     chi_line_bundle,
+    cubic_power_sum,
     divide_by_units,
     segre_inverse,
     tangent_chern,
@@ -61,6 +65,21 @@ def _euler_from_columns(
 ) -> int:
     """The integral of c_m(E) * c(TV) / c(E), with E = sum_j L_j.
 
+    The route is read off the key: a CICY 3-fold (sum(n_i) - m = 3 and
+    every row sum n_i + 1) takes :func:`_euler_by_power_sum`, every other
+    input :func:`_euler_by_division`; :func:`euler_number` says why.
+    """
+    row_sums = tuple(map(sum, zip(*columns)))
+    if sum(factors) - len(columns) == 3 and row_sums == tuple(n + 1 for n in factors):
+        return _euler_by_power_sum(factors, columns)
+    return _euler_by_division(factors, columns)
+
+
+def _euler_by_division(
+    factors: tuple[int, ...], columns: tuple[MultiDegree, ...]
+) -> int:
+    """Gauss-Bonnet for any member: the integral of c_m(E) * c(TV) / c(E).
+
     The order of the ring operations is chosen for cost; the ring is
     commutative, so the integral is the Gauss-Bonnet one.  Each column's
     class c_1(L_j) is built once.  Their product c_m(E) is a class of
@@ -79,6 +98,26 @@ def _euler_from_columns(
     for form in forms:
         top = top * form
     return tangent_pairing(divide_by_units(top, forms))
+
+
+def _euler_by_power_sum(
+    factors: tuple[int, ...], columns: tuple[MultiDegree, ...]
+) -> int:
+    """Gauss-Bonnet for a CICY 3-fold: e = (1/3) int_V mu * p3.
+
+    mu = prod_j D_j is c_m(E) and p3 the cubic power sum of the Chern roots
+    of TV - E (:func:`cubic_power_sum`); :func:`euler_number` derives
+    3 c3 = p3 from c1 = 0.  The pairing must be divisible by 3; if it is
+    not, :class:`InternalConsistencyError` is raised.
+    """
+    ambient = AmbientSpace(factors)
+    three_e = _column_product(ambient, columns).pair(cubic_power_sum(ambient, columns))
+    if three_e % 3:
+        raise InternalConsistencyError(
+            f"int mu * p3 = {three_e} is not divisible by 3 for factors {factors}, "
+            f"columns {columns}"
+        )
+    return three_e // 3
 
 
 def _column_product(ambient: AmbientSpace, columns: Iterable[MultiDegree]) -> ChowClass:
@@ -116,6 +155,20 @@ def euler_number(cfg: ConfigurationMatrix) -> int:
     e = int_V { c(TV) * s(E) }_dimension * c_m(E).  Defined for members of
     any dimension >= 1 (the Betti recursion and double-solid bookkeeping
     need surfaces, not only 3-folds).
+
+    Two routes, chosen by the input.  On a CICY 3-fold X (dimension 3,
+    every row sum n_i + 1), TX = (TV - E)|_X, whose Chern roots are the
+    s_i, n_i + 1 times each, and the column classes D_j, each counted -1.
+    Their power sums are p_r = sum_i (n_i + 1) s_i^r - sum_j D_j^r, and
+    Newton's identity gives 6 c3 = p1^3 - 3 p1 p2 + 2 p3.  Every row sum is
+    n_i + 1, so p1 = sum_i (n_i + 1) s_i - sum_j D_j is the zero class
+    (c1 = 0) and 3 c3 = p3; the Chow ring Z[s] / (s_i^(n_i + 1)) is
+    torsion-free, so this holds over the integers.  Hence
+    e = int_X c3(TX) = (1/3) int_V c_m(E) * p3, one pairing
+    (:func:`_euler_by_power_sum`).  Every other member (surfaces, among
+    them the dimension-2 pieces of the Betti recursion, K3s such as
+    ``3 | 4``, 3-folds with c1 != 0 such as ``4 | 4``, other dimensions)
+    takes the division pass (:func:`_euler_by_division`), its only route.
 
     Examples
     --------
@@ -350,7 +403,7 @@ def hilbert_polynomial(
       + chi(O_X), and c1 = 0 kills the l^2 term and chi(O_X) = c1 c2 / 24,
       so the polynomial is kappa(J,J,J) l^3 / 6 + (c2 . J) l / 12 exactly.
       The Euler number read off the same intersection numbers must equal
-      the Chern-class pass of :func:`euler_number`, and chi(O_X(J)) must
+      the Gauss-Bonnet division pass, and chi(O_X(J)) must
       be an integer, or :class:`InternalConsistencyError` is raised.
     * every other member (surfaces, K3s, other dimensions) takes the Koszul
       resolution by the defining bundles, an alternating sum of ambient
@@ -397,14 +450,17 @@ def _hilbert_by_intersection(
     """Hilbert coefficients of a CICY 3-fold from its intersection numbers.
 
     Two exact identities are checked before returning.  The Euler number
-    read off mu must equal the Chern-class pass (which shares mu but not
-    the power-sum formula), and chi(O_X(J)) = (4 kappa(J,J,J) + 2 c2.J) / 24,
+    read off mu must equal the division pass (:func:`_euler_by_division`,
+    which shares mu but not the power-sum formula; :func:`euler_number`
+    takes the power sum for these inputs, so it is not read here), and
+    chi(O_X(J)) = (4 kappa(J,J,J) + 2 c2.J) / 24,
     a sheaf Euler characteristic, must be an integer, which ties the two
     returned coefficients together.  A fault in mu itself passes both; the
     tests compare this route with the Koszul sum for that.
     """
-    three_e, two_c2j, jjj = _cy3_numbers(cfg.factors, tuple(cfg.columns()), polarization)
-    e = _euler_cached(*_euler_key(cfg))
+    columns = tuple(cfg.columns())
+    three_e, two_c2j, jjj = _cy3_numbers(cfg.factors, columns, polarization)
+    e = _euler_by_division(cfg.factors, columns)
     if three_e != 3 * e or (4 * jjj + two_c2j) % 24:
         raise InternalConsistencyError(
             f"intersection numbers give 3e = {three_e}, 2 c2.J = {two_c2j} and "
@@ -430,6 +486,9 @@ def _cy3_numbers(
         3e      = int mu * sum_x x^3
         2 c2.J  = -int mu * J * sum_x x^2
         J^3     = int mu * J^3 .
+
+    The first is the pairing :func:`_euler_by_power_sum` takes, p3 built by
+    :func:`cubic_power_sum`.
     """
     ambient = AmbientSpace(factors)
     mu = _column_product(ambient, columns)
@@ -437,12 +496,8 @@ def _cy3_numbers(
     mu_j = mu * J
     roots = [(n + 1, ChowClass.hyperplane(ambient, i)) for i, n in enumerate(factors)]
     roots += [(-1, ChowClass.linear_form(ambient, col)) for col in columns]
-    three_e = two_c2j = 0
-    for count, x in roots:
-        x2 = x * x
-        three_e += count * mu.pair(x2 * x)
-        two_c2j -= count * mu_j.pair(x2)
-    return three_e, two_c2j, mu_j.pair(J * J)
+    two_c2j = -sum([count * mu_j.pair(x * x) for count, x in roots])
+    return mu.pair(cubic_power_sum(ambient, columns)), two_c2j, mu_j.pair(J * J)
 
 
 def _interpolate(values: Sequence[int]) -> list[Fraction]:

@@ -489,47 +489,63 @@ def _json_bool(value) -> bool:
 def chain_from_json(text: str) -> TransitionChain:
     """Rebuild a chain from its JSON form.
 
-    Nothing is checked here beyond the format (an integer field holding a
-    boolean or a non-integral value, or an ``ineffective`` that is not
-    ``true`` or ``false``, raises TypeError; a step ``kind`` other than
-    ``"split"`` or ``"contract"`` raises ValueError): :func:`verify_chain`
-    on the result re-executes every step against the stored waypoints.
+    Nothing is checked here beyond the format: a missing field (``start``,
+    ``end`` or ``steps``, or a field of a step, with the step's index)
+    raises ValueError, as does a step ``kind`` other than ``"split"`` or
+    ``"contract"``; an integer field holding a boolean or a non-integral
+    value, or an ``ineffective`` that is not ``true`` or ``false``, raises
+    TypeError.  The report fields are optional, but a step that has
+    ``odp_count`` needs all four.  :func:`verify_chain` on the result
+    re-executes every step against the stored waypoints.
     """
     payload = json.loads(text)
-    start = parse_matrix("\n".join(payload["start"]))
-    end = parse_matrix("\n".join(payload["end"]))
+    start = parse_matrix("\n".join(_json_field(payload, "start", "chain JSON")))
+    end = parse_matrix("\n".join(_json_field(payload, "end", "chain JSON")))
     steps = []
-    for entry in payload["steps"]:
-        if entry["kind"] not in ("split", "contract"):
-            raise ValueError(f"unknown step kind {entry['kind']!r}")
-        after_matrix = parse_matrix("\n".join(entry["matrix"]))
+    for index, entry in enumerate(_json_field(payload, "steps", "chain JSON")):
+
+        def field(name: str):
+            return _json_field(entry, name, f"chain JSON step {index}")
+
+        kind = field("kind")
+        if kind not in ("split", "contract"):
+            raise ValueError(f"unknown step kind {kind!r}")
+        after_matrix = parse_matrix("\n".join(field("matrix")))
         report = None
         if "odp_count" in entry:
             report = TransitionReport(
                 odp_count=_json_int(entry["odp_count"]),
-                euler_resolved=_json_int(entry["euler_before"]),
-                euler_smoothed=_json_int(entry["euler_after"]),
-                ineffective=_json_bool(entry["ineffective"]),
+                euler_resolved=_json_int(field("euler_before")),
+                euler_smoothed=_json_int(field("euler_after")),
+                ineffective=_json_bool(field("ineffective")),
             )
-        if entry["kind"] == "split":
+        if kind == "split":
             step = ChainStep(
                 kind="split",
                 after_matrix=after_matrix,
-                column=_json_int(entry["column"]),
-                n=_json_int(entry["n"]),
-                parts=tuple(tuple(map(_json_int, part)) for part in entry["parts"]),
+                column=_json_int(field("column")),
+                n=_json_int(field("n")),
+                parts=tuple(tuple(map(_json_int, part)) for part in field("parts")),
                 report=report,
             )
         else:
             step = ChainStep(
                 kind="contract",
                 after_matrix=after_matrix,
-                row=_json_int(entry["row"]),
-                one_columns=tuple(map(_json_int, entry["one_columns"])),
+                row=_json_int(field("row")),
+                one_columns=tuple(map(_json_int, field("one_columns"))),
                 report=report,
             )
         steps.append(step)
     return TransitionChain(start=start, steps=tuple(steps), end=end)
+
+
+def _json_field(entry: dict, name: str, where: str):
+    """``entry[name]``; a missing field raises ValueError naming it and ``where``."""
+    try:
+        return entry[name]
+    except KeyError:
+        raise ValueError(f"{where} lacks field {name!r}") from None
 
 
 # ----------------------------------------------------------------------

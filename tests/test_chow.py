@@ -12,6 +12,7 @@ from cicyweb.chow import (
     binomial_poly,
     chern_of_sum,
     chi_line_bundle,
+    cubic_power_sum,
     divide_by_units,
     segre_inverse,
     tangent_chern,
@@ -539,3 +540,29 @@ def test_tangent_pairing_matches_pair_with_tangent_chern():
             b = a + ChowClass(ambient, {e: -c for e, c in list(a.terms.items())[::2]})
             for c in (a, b, a - a, a * a):
                 assert tangent_pairing(c) == c.pair(tangent)
+
+
+def test_cubic_power_sum_matches_cubes_of_classes():
+    rng = random.Random(31)
+    for ambient in _seeded_ambients(rng):
+        for _ in range(6):
+            bundles = [
+                tuple(rng.randint(-3, 4) for _ in ambient.factors) for _ in range(rng.randint(0, 5))
+            ]
+            expected = ChowClass.zero(ambient)
+            for i, n in enumerate(ambient.factors):
+                expected = expected + (n + 1) * ChowClass.hyperplane(ambient, i) ** 3
+            for d in bundles:
+                expected = expected - ChowClass.linear_form(ambient, d) ** 3
+            got = cubic_power_sum(ambient, bundles)
+            assert got == expected
+            assert 0 not in got.terms.values()
+
+
+def test_cubic_power_sum_of_the_quintic():
+    # p3 = 5 H^3 - (5H)^3 = -120 H^3, so int 5H * p3 = -600 = 3 e
+    p3 = cubic_power_sum(P4, [(5,)])
+    assert p3 == -120 * h(3)
+    assert ChowClass.linear_form(P4, (5,)).pair(p3) == 3 * -200
+    with pytest.raises(ValueError):
+        cubic_power_sum(P4, [(1, 1)])

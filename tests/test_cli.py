@@ -107,10 +107,22 @@ def test_invariants_json_intersection_numbers(quintic_file, capsys):
     assert results["intersection"] == {"kappa_JJJ": 40, "c2_J": 100}
 
 
-@pytest.mark.parametrize("offset, message", [(1, "odd Euler number"), (2, "intersection numbers")])
-def test_invariants_euler_mismatch_exits_three(quintic_file, capsys, monkeypatch, offset, message):
-    euler = invariants._euler_cached
-    monkeypatch.setattr(invariants, "_euler_cached", lambda f, c: euler(f, c) + offset)
+@pytest.mark.parametrize(
+    "route, offset, message",
+    [
+        # the Hodge pair reads the cached Euler number; the Hilbert check
+        # compares the intersection numbers with the division pass
+        pytest.param("_euler_cached", 1, "odd Euler number", id="1-odd Euler number"),
+        pytest.param(
+            "_euler_by_division", 2, "intersection numbers", id="2-intersection numbers"
+        ),
+    ],
+)
+def test_invariants_euler_mismatch_exits_three(
+    quintic_file, capsys, monkeypatch, route, offset, message
+):
+    euler = getattr(invariants, route)
+    monkeypatch.setattr(invariants, route, lambda f, c: euler(f, c) + offset)
     assert main(["invariants", quintic_file]) == 3
     captured = capsys.readouterr()
     assert f"internal consistency failure: {message}" in captured.err

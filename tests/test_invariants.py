@@ -17,8 +17,8 @@ from cicyweb.catalog import (
     SCHOEN_RESOLVED,
 )
 from cicyweb import invariants
-from cicyweb.chow import AmbientSpace
-from cicyweb.configuration import C1111, ConfigurationMatrix
+from cicyweb.chow import AmbientSpace, ChowClass
+from cicyweb.configuration import C1111, ConfigurationMatrix, is_cicy
 from cicyweb.invariants import (
     BettiBaseCaseError,
     HodgePair,
@@ -31,6 +31,7 @@ from cicyweb.invariants import (
     hilbert_polynomial,
     hodge_numbers,
 )
+from cicyweb.transitions import analyze, contract, find_contraction_sites
 from cicyweb.web import random_cicy
 
 
@@ -139,6 +140,113 @@ def test_euler_nonpositive_on_cicy_corpus():
         SCHOEN_CONTRACTED,
     ):
         assert euler_number(cfg) <= 0
+
+
+@pytest.fixture
+def cold_euler():
+    """Empty the Euler and Betti caches around a test that patches a route."""
+    invariants._euler_cached.cache_clear()
+    invariants._betti2_cached.cache_clear()
+    yield
+    invariants._euler_cached.cache_clear()
+    invariants._betti2_cached.cache_clear()
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``invariants.<name>`` so that each call is counted."""
+    calls = []
+    original = getattr(invariants, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(invariants, name, counted)
+    return calls
+
+
+def test_power_sum_route_matches_division_and_definition():
+    # every input is a CICY 3-fold; the definition (Segre classes of the
+    # whole lattice, about 20 ms each) runs on one seed in ten
+    for s in range(100):
+        cfg = random_cicy(s, 7, 9)
+        for member in [cfg] + [contract(site) for site in find_contraction_sites(cfg)]:
+            assert is_cicy(member)
+            key = invariants._euler_key(member)
+            e = invariants._euler_by_power_sum(*key)
+            assert e == invariants._euler_by_division(*key) == euler_number(member)
+            if s % 10 == 0:
+                assert e == euler_number_by_definition(member)
+
+
+def test_cy3_euler_makes_no_division(monkeypatch, cold_euler):
+    divisions = _count_calls(monkeypatch, "divide_by_units")
+    for cfg in (QUINTIC, QUINTIC_SPLIT, C1111, SCHOEN_RESOLVED, *map(random_cicy, range(10))):
+        euler_number(cfg)
+    assert divisions == []
+    euler_number(OCTIC_SURFACE)
+    assert len(divisions) == 1
+
+
+@pytest.mark.parametrize(
+    "cfg, e",
+    [
+        (ConfigurationMatrix([3], [[4]]), 24),  # quartic K3
+        (ConfigurationMatrix([4], [[4]]), -56),  # quartic 3-fold, c1 = H
+        (ConfigurationMatrix([2, 3], [[1, 1], [4, 0]]), -60),  # 3-fold, c1 = s_1
+        (OCTIC_SURFACE, 304),
+    ],
+    ids=["3|4", "4|4", "2|1 1/3|4 0", "3|8"],
+)
+def test_non_cy3_inputs_take_the_division_pass(monkeypatch, cold_euler, cfg, e):
+    divisions = _count_calls(monkeypatch, "divide_by_units")
+    power_sums = _count_calls(monkeypatch, "_euler_by_power_sum")
+    assert euler_number(cfg) == euler_number_by_definition(cfg) == e
+    assert len(divisions) == 1 and power_sums == []
+
+
+def test_betti_surface_pieces_take_the_division_pass(monkeypatch, cold_euler):
+    # the recursion for BETTI_EXAMPLE reads e of dimension-2 pieces only
+    divisions = _count_calls(monkeypatch, "divide_by_units")
+    power_sums = _count_calls(monkeypatch, "_euler_by_power_sum")
+    assert betti2(BETTI_EXAMPLE) == 5
+    assert divisions and power_sums == []
+
+
+def test_two_row_cy3_takes_the_power_sum_route(monkeypatch, cold_euler):
+    # 2 | 1 2 / 3 | 4 0 has row sums 3 and 4 = n_i + 1: a CICY 3-fold
+    cfg = ConfigurationMatrix([2, 3], [[1, 2], [4, 0]])
+    power_sums = _count_calls(monkeypatch, "_euler_by_power_sum")
+    divisions = _count_calls(monkeypatch, "divide_by_units")
+    assert euler_number(cfg) == euler_number_by_definition(cfg) == -168
+    assert len(power_sums) == 1 and divisions == []
+    assert invariants._euler_by_division(*invariants._euler_key(cfg)) == -168
+
+
+def test_power_sum_not_divisible_by_three_is_internal_inconsistency(monkeypatch, cold_euler):
+    # int mu * (p3 + H^3) = -600 + 5 on the quintic
+    p3 = invariants.cubic_power_sum
+    monkeypatch.setattr(
+        invariants,
+        "cubic_power_sum",
+        lambda ambient, bundles: p3(ambient, bundles) + ChowClass.hyperplane(ambient, 0) ** 3,
+    )
+    with pytest.raises(InternalConsistencyError, match="-595 is not divisible by 3"):
+        euler_number(QUINTIC)
+
+
+def test_off_by_two_power_sum_is_caught_by_the_node_count(monkeypatch, cold_euler):
+    # shift e by 2 on multi-row inputs only: the split quintic's e moves,
+    # the quintic's does not, and analyze's 2N certification fails
+    power_sum = invariants._euler_by_power_sum
+    monkeypatch.setattr(
+        invariants,
+        "_euler_by_power_sum",
+        lambda f, c: power_sum(f, c) + (2 if len(f) > 1 else 0),
+    )
+    (site,) = find_contraction_sites(QUINTIC_SPLIT)
+    with pytest.raises(InternalConsistencyError, match="ODP count 16 does not match"):
+        analyze(site)
 
 
 # ----------------------------------------------------------------------
@@ -351,8 +459,9 @@ def test_cy3_numbers_quintic_by_hand():
 
 
 def test_hilbert_euler_mismatch_is_internal_inconsistency(monkeypatch):
-    euler = invariants._euler_cached
-    monkeypatch.setattr(invariants, "_euler_cached", lambda f, c: euler(f, c) + 2)
+    # the check compares the intersection numbers with the division pass
+    euler = invariants._euler_by_division
+    monkeypatch.setattr(invariants, "_euler_by_division", lambda f, c: euler(f, c) + 2)
     with pytest.raises(InternalConsistencyError, match="Euler number -198"):
         hilbert_polynomial(QUINTIC, (1,))
 

@@ -446,6 +446,48 @@ def test_chain_json_rejects_unknown_step_kinds(step_kind, bad_kind):
         chain_from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("field", ["start", "end", "steps"])
+def test_chain_json_names_a_missing_top_level_field(field):
+    payload = json.loads(chain_to_json(connect_to_c1111(QUINTIC_SPLIT)))
+    del payload[field]
+    with pytest.raises(ValueError, match=f"chain JSON lacks field '{field}'"):
+        chain_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("split", "kind"),
+        ("split", "matrix"),
+        ("split", "column"),
+        ("split", "n"),
+        ("split", "parts"),
+        ("contract", "kind"),
+        ("contract", "matrix"),
+        ("contract", "row"),
+        ("contract", "one_columns"),
+        ("contract", "euler_before"),
+        ("contract", "euler_after"),
+        ("contract", "ineffective"),
+    ],
+)
+def test_chain_json_names_a_missing_step_field(kind, field):
+    # a bare KeyError would name neither the step nor what the field is
+    payload = json.loads(chain_to_json(connect_to_c1111(QUINTIC)))
+    index = next(i for i, entry in enumerate(payload["steps"]) if entry["kind"] == kind)
+    del payload["steps"][index][field]
+    with pytest.raises(ValueError, match=f"chain JSON step {index} lacks field '{field}'"):
+        chain_from_json(json.dumps(payload))
+
+
+def test_chain_json_report_fields_are_optional_together():
+    payload = json.loads(chain_to_json(connect_to_c1111(QUINTIC)))
+    entry = next(entry for entry in payload["steps"] if "odp_count" in entry)
+    for field in ("odp_count", "euler_before", "euler_after", "ineffective"):
+        del entry[field]
+    assert verify_chain(chain_from_json(json.dumps(payload))).ok
+
+
 def test_chain_json_detects_report_on_split_step():
     import json as jsonlib
 
